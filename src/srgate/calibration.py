@@ -18,7 +18,7 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import CLASSES, PredictionRecord
+from .records import CLASSES, PredictionRecord, record_arrays
 
 
 @dataclass(frozen=True)
@@ -127,22 +127,6 @@ def aupr_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
 
 # --- record-level operations ----------------------------------------------------
 
-def _conf_correct(records: Sequence[PredictionRecord]):
-    conf = np.array([r.confidence for r in records], dtype=np.float64)
-    correct = np.array([r.correct for r in records], dtype=bool)
-    return conf, correct
-
-
-def _probs_true(records: Sequence[PredictionRecord]):
-    if not records:
-        raise EmptyInput("no records")
-    if any(not r.probs for r in records):
-        raise MissingProbs("record without probability vector")
-    probs = np.array([r.probs for r in records], dtype=np.float64)
-    true = np.array([r.true_class for r in records], dtype=np.int64)
-    return probs, true
-
-
 def reliability_bins(
     records: Sequence[PredictionRecord], m: int = 10
 ) -> list[ReliabilityBin]:
@@ -150,8 +134,8 @@ def reliability_bins(
         raise EmptyInput("no records")
     if m < 1:
         raise ValueError("m must be >= 1")
-    conf, correct = _conf_correct(records)
-    counts, conf_sums, acc_sums = _bin_stats(conf, correct, m)
+    a = record_arrays(records)
+    counts, conf_sums, acc_sums = _bin_stats(a.confidence, a.correct, m)
     bins = []
     for i in range(m):
         count = int(counts[i])
@@ -173,20 +157,18 @@ def ece(records: Sequence[PredictionRecord], m: int = 10) -> float:
         raise EmptyInput("no records")
     if m < 1:
         raise ValueError("m must be >= 1")
-    conf, correct = _conf_correct(records)
-    return ece_arrays(conf, correct, m)
+    a = record_arrays(records)
+    return ece_arrays(a.confidence, a.correct, m)
 
 
 def brier(records: Sequence[PredictionRecord]) -> float:
     """Mean squared distance between probability vectors and one-hot labels."""
-    probs, true = _probs_true(records)
-    return brier_arrays(probs, true)
+    a = record_arrays(records)
+    return brier_arrays(a.probs, a.true_class)
 
 
 def accuracy(records: Sequence[PredictionRecord]) -> float:
-    if not records:
-        raise EmptyInput("no records")
-    return float(np.mean([r.correct for r in records]))
+    return float(np.mean(record_arrays(records).correct))
 
 
 def auroc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -220,21 +202,18 @@ def _resolve_metric(
     """Bind a metric to index-array evaluation over `records`."""
     if callable(metric):
         return lambda idx: float(metric([records[i] for i in idx]))
+    a = record_arrays(records)
     if metric == "ece":
-        conf, correct = _conf_correct(records)
-        return lambda idx: ece_arrays(conf[idx], correct[idx], bins)
+        return lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins)
     if metric == "brier":
-        probs, true = _probs_true(records)
-        return lambda idx: brier_arrays(probs[idx], true[idx])
+        return lambda idx: brier_arrays(a.probs[idx], a.true_class[idx])
     if metric == "accuracy":
-        _, correct = _conf_correct(records)
-        return lambda idx: float(np.mean(correct[idx]))
+        return lambda idx: float(np.mean(a.correct[idx]))
     if metric in ("auroc", "aupr"):
         if class_id is None:
             raise ValueError(f"{metric} needs class_id")
-        probs, true = _probs_true(records)
-        scores = probs[:, class_id]
-        labels = true == class_id
+        scores = a.probs[:, class_id]
+        labels = a.true_class == class_id
         fn = auroc_arrays if metric == "auroc" else aupr_arrays
         return lambda idx: fn(scores[idx], labels[idx])
     raise ValueError(f"unknown metric {metric!r}")
@@ -294,13 +273,13 @@ def per_class_ranking(
     records: Sequence[PredictionRecord], class_ids: Sequence[int] | None = None
 ) -> tuple[dict[int, float | None], dict[int, float | None]]:
     """One-vs-rest AUROC and AUPR per class; None where undefined."""
-    probs, true = _probs_true(records)
-    ids = list(class_ids) if class_ids is not None else list(range(probs.shape[1]))
+    a = record_arrays(records)
+    ids = list(class_ids) if class_ids is not None else list(range(a.probs.shape[1]))
     aurocs: dict[int, float | None] = {}
     auprs: dict[int, float | None] = {}
     for k in ids:
-        scores = probs[:, k]
-        labels = true == k
+        scores = a.probs[:, k]
+        labels = a.true_class == k
         try:
             aurocs[k] = auroc_arrays(scores, labels)
         except DegenerateLabels:

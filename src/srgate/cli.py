@@ -515,14 +515,11 @@ def _cmd_simulate(args) -> int:
     policy = _pick(args, filecfg, "policy", "gate_adaptive")
     n_per_class = int(_pick(args, filecfg, "n_per_class", 200))
     subjects = int(_pick(args, filecfg, "subjects", simulate.PINNED_SUBJECTS))
-    threads = args.threads or 1
     out = _outdir(args)
 
     recs = simulate.sample_stream(config.scenario.model, n_per_class, subjects, seed)
     records.write_log(recs, os.path.join(out, "stream.log"))
-    report, outcomes = simulate.run_experiment_with_outcomes(
-        recs, policy, config, seed, threads=threads
-    )
+    report, outcomes = simulate.run_experiment_with_outcomes(recs, policy, config, seed)
     effective = {
         "subcommand": "simulate",
         "policy": policy,
@@ -552,12 +549,9 @@ def _cmd_loso_eval(args) -> int:
         raise ValueError("--seed is required for loso-eval")
     seed = int(seed)
     policy = _pick(args, filecfg, "policy", "gate_adaptive")
-    threads = args.threads or 1
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
-    report, outcomes = simulate.run_experiment_with_outcomes(
-        recs, policy, config, seed, threads=threads
-    )
+    report, outcomes = simulate.run_experiment_with_outcomes(recs, policy, config, seed)
     effective = {
         "subcommand": "loso-eval",
         "log": args.log,
@@ -686,7 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=cfgmod.POLICIES)
     p.add_argument("--n-per-class", type=int, dest="n_per_class")
     p.add_argument("--subjects", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; evaluation is serial"
+    )
     _add_threshold_opts(p)
     _add_adaptive_opts(p)
     _add_utility_opts(p)
@@ -700,7 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--policy", choices=cfgmod.POLICIES)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; evaluation is serial"
+    )
     _add_threshold_opts(p)
     _add_adaptive_opts(p)
     _add_utility_opts(p)

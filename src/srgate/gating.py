@@ -25,15 +25,9 @@ from .records import (
     PredictionRecord,
     SRLevel,
     UtilityParams,
+    record_arrays,
 )
 
-_REASONS = (
-    GateReason.HIGH_CONF_SKIP,
-    GateReason.MID_CONF_2X,
-    GateReason.LOW_CONF_4X,
-    GateReason.CRITICAL_4X,
-    GateReason.UNCOVERED_DEFAULT,
-)
 _LEVELS = (SRLevel.NONE, SRLevel.X2, SRLevel.X4)
 
 
@@ -159,30 +153,7 @@ def gate_adaptive(
     return GateDecision(level=level, tau_used=tau_eff, utility_by_level=utils, reason=reason)
 
 
-def gate_records(
-    records: Sequence[PredictionRecord],
-    t: Thresholds,
-    cfg: AdaptiveTauConfig | None = None,
-    params: UtilityParams | None = None,
-    costs: CostProfile | None = None,
-) -> list[GateDecision]:
-    """Batch gate; with cfg/params/costs given this is the adaptive path."""
-    if cfg is None:
-        return [gate(r.confidence, r.criticality, t) for r in records]
-    if params is None or costs is None:
-        raise ValueError("adaptive gating needs utility params and a cost profile")
-    return [gate_adaptive(r, t, cfg, params, costs) for r in records]
-
-
 # --- realized-utility objective over threshold grids --------------------------
-
-def _record_arrays(records: Sequence[PredictionRecord]):
-    p = np.array([r.confidence for r in records], dtype=np.float64)
-    c = np.array([r.criticality for r in records], dtype=np.uint8)
-    pred = np.array([r.predicted_class for r in records], dtype=np.int64)
-    correct = np.array([r.correct for r in records], dtype=bool)
-    return p, c, pred, correct
-
 
 def utility_matrix(
     records: Sequence[PredictionRecord],
@@ -198,11 +169,11 @@ def utility_matrix(
     """
     if objective not in ("outcome", "heuristic"):
         raise ValueError(f"unknown objective {objective!r}")
-    p, c, pred, correct = _record_arrays(records)
-    factor = (1.0 - correct.astype(np.float64)) if objective == "outcome" else 1.0 - p
-    w = np.where(c == 1, params.w_crit, params.w_normal)
+    a = record_arrays(records)
+    factor = (1.0 - a.correct.astype(np.float64)) if objective == "outcome" else 1.0 - a.confidence
+    w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
     gains = np.array(
-        [[params.gain(int(k), level) for level in _LEVELS] for k in pred],
+        [[params.gain(int(k), level) for level in _LEVELS] for k in a.pred],
         dtype=np.float64,
     )
     cost_norm = np.array(costs.utility_costs(), dtype=np.float64)
@@ -252,9 +223,11 @@ def optimize_thresholds(
     pairs = [(lo, hi) for lo in grid for hi in grid if lo < hi]
     lo_arr = np.array([pr[0] for pr in pairs])
     hi_arr = np.array([pr[1] for pr in pairs])
-    p, c, _, _ = _record_arrays(records)
+    a = record_arrays(records)
     util = utility_matrix(records, params, costs, objective)
-    means, _ = kernels.utility_surface(p, c, util, lo_arr, hi_arr, critical_cut)
+    means, _ = kernels.utility_surface(
+        a.confidence, a.criticality, util, lo_arr, hi_arr, critical_cut
+    )
     surface = tuple(
         SurfacePoint(lo, hi, float(u)) for (lo, hi), u in zip(pairs, means)
     )
@@ -301,9 +274,11 @@ def sensitivity_sweep(
     combos = [(sl, sh) for sl in scales for sh in scales]
     lo_arr = np.clip(np.array([sl * t.tau_low for sl, _ in combos]), 0.0, 1.0)
     hi_arr = np.clip(np.array([sh * t.tau_high for _, sh in combos]), 0.0, 1.0)
-    p, c, _, _ = _record_arrays(records)
+    a = record_arrays(records)
     util = utility_matrix(records, params, costs, objective)
-    means, hist = kernels.utility_surface(p, c, util, lo_arr, hi_arr, t.critical_cut)
+    means, hist = kernels.utility_surface(
+        a.confidence, a.criticality, util, lo_arr, hi_arr, t.critical_cut
+    )
     n = len(records)
     gflops = np.array([costs.total(level, "gflops") for level in _LEVELS])
     rows = []

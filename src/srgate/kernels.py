@@ -1,193 +1,27 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Array kernels: the batched gate rule, the threshold utility surface and
+the Laplacian stencil.
 
-The active backend is chosen by the ``SRGATE_NUMBA`` environment variable
-(``0``/``false``/``off`` forces the numpy path; anything else, or unset,
-uses numba when importable). `set_backend` overrides the choice at runtime,
-which the parity tests and the benchmark script rely on.
-
-Discrete outputs (levels, reasons, histograms) are bit-identical across
-backends. Float reductions may differ by summation order at ~1e-15
-relative; callers treat kernel sums as approximate.
+gating.py and quality.py call these through the module attribute
+(``kernels.<name>``), so a profiler can wrap each kernel in one place.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
-_ENV_FLAG = "SRGATE_NUMBA"
-
-# Gate reason codes, aligned with records.GateReason declaration order.
-REASON_HIGH_CONF_SKIP = 0
-REASON_MID_CONF_2X = 1
-REASON_LOW_CONF_4X = 2
-REASON_CRITICAL_4X = 3
-REASON_UNCOVERED_DEFAULT = 4
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-def _env_wants_numba() -> bool:
-    value = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if value in ("0", "false", "no", "off"):
-        return False
-    return True
-
-
-_backend_override: str | None = None
-
-
-def backend() -> str:
-    """Name of the active backend: 'numba' or 'numpy'."""
-    if _backend_override is not None:
-        return _backend_override
-    if _HAVE_NUMBA and _env_wants_numba():
-        return "numba"
-    return "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend ('numba' | 'numpy'), or None to restore env selection."""
-    global _backend_override
-    if name is None:
-        _backend_override = None
-        return
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend_override = name
-
-
-# --- gate decisions ----------------------------------------------------------
-
-def _gate_levels_numpy(p, c, tau_low, tau_high, critical_cut):
-    p = np.asarray(p, dtype=np.float64)
-    c = np.asarray(c, dtype=np.uint8)
-    tau_high = np.broadcast_to(np.asarray(tau_high, dtype=np.float64), p.shape)
-    levels = np.empty(p.shape, dtype=np.uint8)
-    reasons = np.empty(p.shape, dtype=np.uint8)
-
-    low = p <= tau_low
-    crit = (~low) & (c == 1) & (p < critical_cut)
-    skip = (~low) & (~crit) & (p > tau_high)
-    mid = ~(low | crit | skip)
-
-    levels[low] = 2
-    levels[crit] = 2
-    levels[skip] = 0
-    levels[mid] = 1
-    reasons[low] = REASON_LOW_CONF_4X
-    reasons[crit] = REASON_CRITICAL_4X
-    reasons[skip & (c == 0)] = REASON_HIGH_CONF_SKIP
-    reasons[skip & (c == 1)] = REASON_UNCOVERED_DEFAULT
-    reasons[mid] = REASON_MID_CONF_2X
-    return levels, reasons
-
-
-def _gate_levels_serial(p, c, tau_high, levels, reasons, tau_low, critical_cut):
-    for i in range(p.size):
-        pi = p[i]
-        if pi <= tau_low:
-            levels[i] = 2
-            reasons[i] = REASON_LOW_CONF_4X
-        elif c[i] == 1 and pi < critical_cut:
-            levels[i] = 2
-            reasons[i] = REASON_CRITICAL_4X
-        elif pi > tau_high[i]:
-            levels[i] = 0
-            reasons[i] = REASON_HIGH_CONF_SKIP if c[i] == 0 else REASON_UNCOVERED_DEFAULT
-        else:
-            levels[i] = 1
-            reasons[i] = REASON_MID_CONF_2X
-
-
-if _HAVE_NUMBA:
-    _gate_levels_jit = numba.njit(cache=True)(_gate_levels_serial)
 
 
 def gate_levels(p, c, tau_low, tau_high, critical_cut):
-    """Vectorized gating policy.
+    """Vectorized form of the gating policy in ``gating._gate_scalar``.
 
     p: confidences, c: 0/1 criticality flags, tau_high: scalar or per-record
-    array (the adaptive path varies it). Returns (levels, reasons) as uint8
-    arrays; levels use 0=none, 1=2x, 2=4x.
+    array (the adaptive path varies it). Returns uint8 levels with
+    0=none, 1=2x, 2=4x; the 4x conditions take precedence over the skip.
     """
-    if backend() == "numpy":
-        return _gate_levels_numpy(p, c, tau_low, tau_high, critical_cut)
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.uint8)
-    tau_high = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(tau_high, dtype=np.float64), p.shape)
-    )
-    levels = np.empty(p.shape, dtype=np.uint8)
-    reasons = np.empty(p.shape, dtype=np.uint8)
-    _gate_levels_jit(p, c, tau_high, levels, reasons, float(tau_low), float(critical_cut))
-    return levels, reasons
-
-
-# --- threshold utility surface ------------------------------------------------
-
-def _surface_numpy(p, c, util, lo_arr, hi_arr, critical_cut):
-    n = p.size
-    m = lo_arr.size
-    means = np.empty(m, dtype=np.float64)
-    hist = np.empty((m, 3), dtype=np.int64)
-    idx = np.arange(n)
-    for j in range(m):
-        levels, _ = _gate_levels_numpy(p, c, lo_arr[j], hi_arr[j], critical_cut)
-        means[j] = util[idx, levels].sum() / n
-        hist[j, 0] = int((levels == 0).sum())
-        hist[j, 1] = int((levels == 1).sum())
-        hist[j, 2] = int((levels == 2).sum())
-    return means, hist
-
-
-def _surface_serial(p, c, util, lo_arr, hi_arr, critical_cut, means, hist):
-    n = p.size
-    for j in range(lo_arr.size):
-        lo = lo_arr[j]
-        hi = hi_arr[j]
-        acc = 0.0
-        n0 = 0
-        n1 = 0
-        n2 = 0
-        for i in range(n):
-            pi = p[i]
-            if pi <= lo:
-                lvl = 2
-            elif c[i] == 1 and pi < critical_cut:
-                lvl = 2
-            elif pi > hi:
-                lvl = 0
-            else:
-                lvl = 1
-            acc += util[i, lvl]
-            if lvl == 0:
-                n0 += 1
-            elif lvl == 1:
-                n1 += 1
-            else:
-                n2 += 1
-        means[j] = acc / n
-        hist[j, 0] = n0
-        hist[j, 1] = n1
-        hist[j, 2] = n2
-
-
-if _HAVE_NUMBA:
-    _surface_jit = numba.njit(cache=True)(_surface_serial)
+    p = np.asarray(p, dtype=np.float64)
+    c = np.asarray(c)
+    levels = np.where(p > tau_high, 0, 1).astype(np.uint8)
+    levels[(p <= tau_low) | ((c == 1) & (p < critical_cut))] = 2
+    return levels
 
 
 def utility_surface(p, c, util, lo_arr, hi_arr, critical_cut):
@@ -196,52 +30,27 @@ def utility_surface(p, c, util, lo_arr, hi_arr, critical_cut):
     util is an (n, 3) matrix of record utilities per level; (lo_arr, hi_arr)
     enumerate threshold pairs. Returns (means[m], hist[m, 3]).
     """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.uint8)
-    util = np.ascontiguousarray(util, dtype=np.float64)
-    lo_arr = np.ascontiguousarray(lo_arr, dtype=np.float64)
-    hi_arr = np.ascontiguousarray(hi_arr, dtype=np.float64)
-    if backend() == "numpy":
-        return _surface_numpy(p, c, util, lo_arr, hi_arr, critical_cut)
-    means = np.empty(lo_arr.size, dtype=np.float64)
-    hist = np.empty((lo_arr.size, 3), dtype=np.int64)
-    _surface_jit(p, c, util, lo_arr, hi_arr, float(critical_cut), means, hist)
+    p = np.asarray(p, dtype=np.float64)
+    util = np.asarray(util, dtype=np.float64)
+    n = p.size
+    means = np.empty(len(lo_arr), dtype=np.float64)
+    hist = np.empty((len(lo_arr), 3), dtype=np.int64)
+    idx = np.arange(n)
+    for j, (lo, hi) in enumerate(zip(lo_arr, hi_arr)):
+        levels = gate_levels(p, c, lo, hi, critical_cut)
+        means[j] = util[idx, levels].sum() / n
+        hist[j] = np.bincount(levels, minlength=3)
     return means, hist
-
-
-# --- Laplacian responses -------------------------------------------------------
-
-def _laplacian_numpy(a):
-    return (
-        a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:] - 4.0 * a[1:-1, 1:-1]
-    )
-
-
-def _laplacian_serial(a, out):
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = (
-                a[i, j + 1] + a[i + 2, j + 1] + a[i + 1, j] + a[i + 1, j + 2]
-                - 4.0 * a[i + 1, j + 1]
-            )
-
-
-if _HAVE_NUMBA:
-    _laplacian_jit = numba.njit(cache=True)(_laplacian_serial)
 
 
 def laplacian_responses(a):
     """Valid-mode 5-point Laplacian responses of a 2-D array.
 
-    Output shape is (h-2, w-2); border pixels produce no response. Both
-    backends evaluate the same expression per element, so results are
-    bit-identical.
+    Output shape is (h-2, w-2); border pixels produce no response.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     if a.shape[0] < 3 or a.shape[1] < 3:
         raise ValueError("laplacian needs at least a 3x3 input")
-    if backend() == "numpy":
-        return _laplacian_numpy(a)
-    out = np.empty((a.shape[0] - 2, a.shape[1] - 2), dtype=np.float64)
-    _laplacian_jit(a, out)
-    return out
+    return (
+        a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:] - 4.0 * a[1:-1, 1:-1]
+    )

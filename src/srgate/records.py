@@ -14,9 +14,18 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyLog, MalformedRecord, MissingTableEntry, ProbSumViolation
+import numpy as np
+
+from .errors import (
+    EmptyInput,
+    EmptyLog,
+    MalformedRecord,
+    MissingProbs,
+    MissingTableEntry,
+    ProbSumViolation,
+)
 
 log = logging.getLogger(__name__)
 
@@ -169,8 +178,10 @@ def validate_record(
         out.append(Violation("lighting", "must lie in [0,1]"))
     if r.artifact_score is not None and not 0.0 <= r.artifact_score <= 1.0:
         out.append(Violation("artifact_score", "must lie in [0,1]"))
-    if r.perceptual_loss is not None and r.perceptual_loss < 0.0:
-        out.append(Violation("perceptual_loss", "must be >= 0"))
+    if r.perceptual_loss is not None and (
+        not math.isfinite(r.perceptual_loss) or r.perceptual_loss < 0.0
+    ):
+        out.append(Violation("perceptual_loss", "must be finite and >= 0"))
     if r.ssim_vs_hr is not None and not -1.0 <= r.ssim_vs_hr <= 1.0:
         out.append(Violation("ssim_vs_hr", "must lie in [-1,1]"))
     return out
@@ -189,6 +200,14 @@ _REQUIRED_KEYS = (
 _OPTIONAL_KEYS = ("artifact_score", "perceptual_loss", "ssim_vs_hr")
 
 
+def _int_field(obj: Mapping, key: str, line_no: int) -> int:
+    value = obj[key]
+    # bool is an int subclass; neither it nor a float may stand in for an id
+    if type(value) is not int:
+        raise MalformedRecord(line_no, f"{key}: expected a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionRecord:
     missing = [k for k in _REQUIRED_KEYS if k not in obj]
     if missing:
@@ -202,10 +221,10 @@ def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionReco
         rec = PredictionRecord(
             subject_id=str(obj["subject_id"]),
             clip_id=str(obj["clip_id"]),
-            true_class=int(obj["true_class"]),
+            true_class=_int_field(obj, "true_class", line_no),
             probs=tuple(float(p) for p in obj["probs"]),
             confidence=float(obj["confidence"]),
-            criticality=int(obj["criticality"]),
+            criticality=_int_field(obj, "criticality", line_no),
             blur=float(obj["blur"]),
             lighting=float(obj["lighting"]),
             artifact_score=None if obj.get("artifact_score") is None else float(obj["artifact_score"]),
@@ -271,6 +290,36 @@ def write_log(records: Iterable[PredictionRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             fh.write(json.dumps(record_to_obj(r)) + "\n")
+
+
+class RecordArrays(NamedTuple):
+    """Per-record columns of a record sequence, row i from record i."""
+
+    confidence: np.ndarray  # float64
+    criticality: np.ndarray  # uint8
+    probs: np.ndarray  # float64, shape (n, K)
+    true_class: np.ndarray  # int64
+    pred: np.ndarray  # int64, first maximum as in PredictionRecord.predicted_class
+    correct: np.ndarray  # bool
+
+
+def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
+    """Turn records into arrays; the one conversion every array metric uses."""
+    if not records:
+        raise EmptyInput("no records")
+    if any(not r.probs for r in records):
+        raise MissingProbs("record without probability vector")
+    probs = np.array([r.probs for r in records], dtype=np.float64)
+    true_class = np.array([r.true_class for r in records], dtype=np.int64)
+    pred = probs.argmax(axis=1).astype(np.int64, copy=False)
+    return RecordArrays(
+        confidence=np.array([r.confidence for r in records], dtype=np.float64),
+        criticality=np.array([r.criticality for r in records], dtype=np.uint8),
+        probs=probs,
+        true_class=true_class,
+        pred=pred,
+        correct=pred == true_class,
+    )
 
 
 def subjects_of(records: Sequence[PredictionRecord]) -> list[str]:

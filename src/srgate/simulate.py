@@ -7,13 +7,12 @@ effects (accuracy uplift, hallucination) are synthetic and clearly labeled
 as such in the scenario config. All randomness derives from explicit seeds:
 the stream from `seed`, and each record's SR-effect draws from the
 substream ``default_rng([seed, record_index])``, so results do not depend
-on evaluation order or thread count.
+on evaluation order.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -289,27 +288,15 @@ def evaluate_records(
     policy: str,
     config: ExperimentConfig,
     seed: int,
-    threads: int = 1,
 ) -> list[EvalOutcome]:
     """Run the policy pipeline over every record.
 
-    Output order matches input order and is independent of `threads`:
-    each record's stochastic effects draw from a substream keyed by its
-    position alone.
+    Output order matches input order; each record's stochastic effects
+    draw from a substream keyed by its position alone.
     """
-    def chunk_eval(bounds):
-        lo, hi = bounds
-        return [
-            _evaluate_record(records[i], i, policy, config, seed) for i in range(lo, hi)
-        ]
-
-    if threads <= 1 or len(records) < 2 * threads:
-        return chunk_eval((0, len(records)))
-    edges = np.linspace(0, len(records), threads + 1).astype(int)
-    chunks = [(int(edges[k]), int(edges[k + 1])) for k in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(chunk_eval, chunks))
-    return [o for part in parts for o in part]
+    return [
+        _evaluate_record(r, i, policy, config, seed) for i, r in enumerate(records)
+    ]
 
 
 def count_critical_fp(
@@ -367,9 +354,8 @@ def run_experiment(
     policy: str,
     config: ExperimentConfig,
     seed: int,
-    threads: int = 1,
 ) -> ExperimentReport:
-    report, _ = run_experiment_with_outcomes(records, policy, config, seed, threads)
+    report, _ = run_experiment_with_outcomes(records, policy, config, seed)
     return report
 
 
@@ -378,7 +364,6 @@ def run_experiment_with_outcomes(
     policy: str,
     config: ExperimentConfig,
     seed: int,
-    threads: int = 1,
 ) -> tuple[ExperimentReport, list[EvalOutcome]]:
     """Gate, apply synthetic SR effects and the guard, and score per LOSO fold.
 
@@ -398,7 +383,7 @@ def run_experiment_with_outcomes(
             raise MalformedRecord(i + 1, "; ".join(str(v) for v in violations))
 
     folds = loso_splits(records)
-    outcomes = evaluate_records(records, policy, config, seed, threads)
+    outcomes = evaluate_records(records, policy, config, seed)
 
     final_records = [o.final for o in outcomes]
     levels = [o.level for o in outcomes]

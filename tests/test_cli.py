@@ -8,7 +8,7 @@ import pytest
 from helpers import make_record
 from srgate.cli import run_cli
 from srgate.config import ExperimentConfig
-from srgate.records import write_log
+from srgate.records import record_to_obj, write_log
 from srgate.simulate import sample_stream
 
 
@@ -41,6 +41,26 @@ def test_malformed_log_exits_3(tmp_path):
     bad = tmp_path / "bad.log"
     bad.write_text('{"subject_id": "s"}\n')
     assert run_cli(["gate", "--log", str(bad), "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("criticality", 0.9),
+        ("true_class", 6.9),
+        ("criticality", True),
+        ("perceptual_loss", float("nan")),
+        ("perceptual_loss", float("inf")),
+    ],
+)
+def test_bad_log_field_exits_3_naming_field_and_line(tmp_path, capsys, field, value):
+    good = record_to_obj(make_record())
+    bad = dict(good, **{field: value})
+    log = tmp_path / "bad.log"
+    log.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and field in err
 
 
 def test_out_of_range_threshold_exits_2(stream_log, tmp_path):

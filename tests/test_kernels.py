@@ -4,87 +4,7 @@ import numpy as np
 import pytest
 
 from srgate import kernels
-
-pytestmark = pytest.mark.skipif(
-    not kernels.numba_available(), reason="numba not installed"
-)
-
-
-@pytest.fixture
-def both_backends():
-    """Yield a runner that evaluates a callable under numba and numpy."""
-
-    def run(fn):
-        results = {}
-        for name in ("numba", "numpy"):
-            kernels.set_backend(name)
-            try:
-                results[name] = fn()
-            finally:
-                kernels.set_backend(None)
-        return results["numba"], results["numpy"]
-
-    return run
-
-
-def _random_gate_inputs(rng, n=5000):
-    # mix boundary-exact values in with the random draws
-    p = rng.random(n)
-    p[: n // 10] = rng.choice([0.0, 0.6, 0.7, 0.85, 1.0], size=n // 10)
-    c = rng.integers(0, 2, size=n).astype(np.uint8)
-    return p, c
-
-
-def test_gate_levels_backend_parity(both_backends):
-    rng = np.random.default_rng(0)
-    p, c = _random_gate_inputs(rng)
-    tau_high = np.full(p.size, 0.85)
-    nb, npy = both_backends(lambda: kernels.gate_levels(p, c, 0.6, tau_high, 0.7))
-    assert np.array_equal(nb[0], npy[0])
-    assert np.array_equal(nb[1], npy[1])
-
-
-def test_gate_levels_scalar_tau_broadcast(both_backends):
-    rng = np.random.default_rng(1)
-    p, c = _random_gate_inputs(rng, 512)
-    nb, npy = both_backends(lambda: kernels.gate_levels(p, c, 0.6, 0.85, 0.7))
-    assert np.array_equal(nb[0], npy[0])
-
-
-def test_utility_surface_backend_parity(both_backends):
-    rng = np.random.default_rng(2)
-    p, c = _random_gate_inputs(rng, 2000)
-    util = rng.normal(0, 0.3, size=(p.size, 3))
-    grid = np.arange(0.0, 1.0001, 0.05)
-    pairs = [(lo, hi) for lo in grid for hi in grid if lo < hi]
-    lo_arr = np.array([x for x, _ in pairs])
-    hi_arr = np.array([y for _, y in pairs])
-    nb, npy = both_backends(
-        lambda: kernels.utility_surface(p, c, util, lo_arr, hi_arr, 0.7)
-    )
-    assert np.array_equal(nb[1], npy[1])  # histograms are exact
-    assert np.allclose(nb[0], npy[0], rtol=0, atol=1e-12)
-
-
-def test_laplacian_backend_parity_bitwise(both_backends):
-    rng = np.random.default_rng(3)
-    a = rng.random((64, 48))
-    nb, npy = both_backends(lambda: kernels.laplacian_responses(a))
-    assert np.array_equal(nb, npy)
-
-
-def test_backend_selection_and_override(monkeypatch):
-    kernels.set_backend("numpy")
-    assert kernels.backend() == "numpy"
-    kernels.set_backend("numba")
-    assert kernels.backend() == "numba"
-    kernels.set_backend(None)
-    monkeypatch.setenv("SRGATE_NUMBA", "0")
-    assert kernels.backend() == "numpy"
-    monkeypatch.setenv("SRGATE_NUMBA", "1")
-    assert kernels.backend() == "numba"
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")
+from srgate.gating import Thresholds, _gate_scalar
 
 
 def test_laplacian_rejects_small_input():
@@ -93,23 +13,21 @@ def test_laplacian_rejects_small_input():
 
 
 def test_kernel_agrees_with_scalar_gate():
-    # the batched kernel and the scalar policy must implement the same gate
-    from srgate.gating import Thresholds, gate
-    from srgate.records import GateReason
-
-    reason_codes = {
-        GateReason.HIGH_CONF_SKIP: kernels.REASON_HIGH_CONF_SKIP,
-        GateReason.MID_CONF_2X: kernels.REASON_MID_CONF_2X,
-        GateReason.LOW_CONF_4X: kernels.REASON_LOW_CONF_4X,
-        GateReason.CRITICAL_4X: kernels.REASON_CRITICAL_4X,
-        GateReason.UNCOVERED_DEFAULT: kernels.REASON_UNCOVERED_DEFAULT,
-    }
+    # the batched kernel and the scalar policy must implement the same gate,
+    # including at the exact threshold values and with a per-record tau_high
     t = Thresholds()
-    p = np.arange(0, 1001) / 1000.0
+    edges = [t.tau_low, t.critical_cut, t.tau_high]
+    p = np.concatenate([np.arange(0, 1001) / 1000.0, edges, np.nextafter(edges, 2.0)])
+    tau_arrays = {
+        "scalar": t.tau_high,
+        "per_record": np.random.default_rng(0).uniform(t.tau_low, 1.0, p.size),
+        "equal_to_p": p,
+    }
     for c in (0, 1):
         c_arr = np.full(p.size, c, dtype=np.uint8)
-        levels, reasons = kernels.gate_levels(p, c_arr, t.tau_low, t.tau_high, t.critical_cut)
-        for i, pi in enumerate(p):
-            d = gate(float(pi), c, t)
-            assert int(d.level) == levels[i]
-            assert reason_codes[d.reason] == reasons[i]
+        for tau_high in tau_arrays.values():
+            levels = kernels.gate_levels(p, c_arr, t.tau_low, tau_high, t.critical_cut)
+            taus = np.broadcast_to(tau_high, p.shape)
+            for pi, ti, got in zip(p, taus, levels):
+                level, _ = _gate_scalar(float(pi), c, t.tau_low, float(ti), t.critical_cut)
+                assert int(level) == got, (pi, ti, c)

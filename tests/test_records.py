@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from helpers import make_record, random_records
-from srgate.errors import EmptyLog, MalformedRecord, MissingTableEntry, ProbSumViolation
+from srgate.errors import (
+    EmptyInput,
+    EmptyLog,
+    MalformedRecord,
+    MissingProbs,
+    MissingTableEntry,
+    ProbSumViolation,
+)
 from srgate.records import (
     CLASSES,
     NUM_CLASSES,
@@ -16,6 +23,7 @@ from srgate.records import (
     default_delta_acc_table,
     ingest_log,
     make_classes,
+    record_arrays,
     record_to_obj,
     subjects_of,
     validate_record,
@@ -120,6 +128,12 @@ def test_validate_criticality_domain():
     assert any(v.field == "criticality" and "{0,1}" in v.rule for v in violations)
 
 
+@pytest.mark.parametrize("loss", [float("nan"), float("inf"), -0.1])
+def test_validate_perceptual_loss_finite_and_nonnegative(loss):
+    violations = validate_record(make_record(perceptual_loss=loss))
+    assert [v.field for v in violations] == ["perceptual_loss"]
+
+
 def test_roundtrip_preserves_fields(tmp_path):
     rng = np.random.default_rng(11)
     recs = random_records(rng, 60)
@@ -145,6 +159,25 @@ def test_every_ingested_record_validates(tmp_path):
     write_log(random_records(rng, 40), str(path))
     for r in ingest_log(str(path)):
         assert validate_record(r) == []
+
+
+def test_record_arrays_match_record_properties():
+    recs = random_records(np.random.default_rng(4), 40)
+    # a tie between classes 0 and 1: the first maximum is the prediction
+    tie_probs = (0.4, 0.4, 0.2, 0.0, 0.0, 0.0, 0.0)
+    recs.append(replace(make_record(true_class=1), probs=tie_probs, confidence=0.4))
+    a = record_arrays(recs)
+    assert a.pred.tolist() == [r.predicted_class for r in recs]
+    assert a.correct.tolist() == [r.correct for r in recs]
+    assert a.pred[-1] == 0 and not a.correct[-1]
+    assert a.confidence.tolist() == [r.confidence for r in recs]
+    assert a.probs.tolist() == [list(r.probs) for r in recs]
+    dtypes = (a.confidence.dtype, a.probs.dtype, a.true_class.dtype, a.pred.dtype, a.correct.dtype)
+    assert dtypes == (np.float64, np.float64, np.int64, np.int64, np.bool_)
+    with pytest.raises(EmptyInput):
+        record_arrays([])
+    with pytest.raises(MissingProbs):
+        record_arrays([replace(recs[0], probs=())])
 
 
 def test_utility_params_defaults_and_table():
