@@ -96,31 +96,46 @@ def auroc_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def pr_curve_arrays(scores: np.ndarray, labels: np.ndarray):
+def pr_curve_arrays(
+    scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
+):
     """Precision/recall at each distinct score threshold, descending.
 
-    Tied scores form a single step. Returns (thresholds, precision, recall).
+    Tied scores form a single step. Integer `weights`, if given, count each
+    record that many times (0 drops it), so the curve is exactly that of the
+    records repeated. Returns (thresholds, precision, recall).
     """
     labels = labels.astype(bool)
-    n_pos = int(labels.sum())
+    if weights is None:
+        weights = np.ones(scores.size, dtype=np.int64)
+    else:
+        # integer indices: gathering by a boolean mask is several times slower
+        kept = np.flatnonzero(weights > 0)
+        scores, labels, weights = scores[kept], labels[kept], weights[kept]
+    n_pos = int(weights[labels].sum())
     if n_pos == 0:
         raise DegenerateLabels("need at least one positive")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
+    sorted_weights = weights[order]
     # inclusive end index of each tied group
     last = np.nonzero(np.diff(sorted_scores))[0]
     ends = np.append(last, scores.size - 1)
-    tp = np.cumsum(sorted_labels)[ends]
-    predicted = ends + 1
+    tp = np.cumsum(np.where(labels[order], sorted_weights, 0))[ends]
+    predicted = np.cumsum(sorted_weights)[ends]
     precision = tp / predicted
     recall = tp / n_pos
     return sorted_scores[ends], precision, recall
 
 
-def aupr_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Average precision over the descending-score sweep (step interpolation)."""
-    _, precision, recall = pr_curve_arrays(scores, labels)
+def aupr_arrays(
+    scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
+) -> float:
+    """Average precision over the descending-score sweep (step interpolation).
+
+    `weights` are integer record multiplicities, as in ``pr_curve_arrays``.
+    """
+    _, precision, recall = pr_curve_arrays(scores, labels, weights)
     prev_recall = np.concatenate(([0.0], recall[:-1]))
     return float(np.sum((recall - prev_recall) * precision))
 
@@ -193,29 +208,61 @@ def _subject_groups(records: Sequence[PredictionRecord]):
     return subjects, [np.array(groups[s], dtype=np.int64) for s in subjects]
 
 
+def _aupr_by_draw(
+    scores: np.ndarray, labels: np.ndarray, groups: Sequence[np.ndarray]
+) -> Callable[[np.ndarray], float]:
+    """AUPR of a subject draw, scored without building the resample.
+
+    A draw holding subject s w_s times is the records weighted by w_s, which
+    ``aupr_arrays`` scores exactly as the concatenated resample, bit for bit.
+    The scores are sorted once here, so its sort runs on ordered input.
+    """
+    subject = np.empty(scores.size, dtype=np.int64)
+    for s, members in enumerate(groups):
+        subject[members] = s
+    order = np.argsort(-scores, kind="mergesort")
+    scores, labels, subject = scores[order], labels[order], subject[order]
+    n_subjects = len(groups)
+
+    def evaluate(draw: np.ndarray) -> float:
+        return aupr_arrays(scores, labels, np.bincount(draw, minlength=n_subjects)[subject])
+
+    return evaluate
+
+
 def _resolve_metric(
     records: Sequence[PredictionRecord],
     metric: str | Callable[[Sequence[PredictionRecord]], float],
     bins: int,
     class_id: int | None,
+    groups: Sequence[np.ndarray],
 ) -> Callable[[np.ndarray], float]:
-    """Bind a metric to index-array evaluation over `records`."""
+    """Bind a metric to the evaluation of one subject draw over `records`.
+
+    AUPR scores the draw directly; every other metric scores the
+    concatenated resample of the drawn subjects' records.
+    """
+
+    def on_resample(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
+        return lambda draw: fn(np.concatenate([groups[d] for d in draw]))
+
     if callable(metric):
-        return lambda idx: float(metric([records[i] for i in idx]))
+        return on_resample(lambda idx: float(metric([records[i] for i in idx])))
     a = record_arrays(records)
     if metric == "ece":
-        return lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins)
+        return on_resample(lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins))
     if metric == "brier":
-        return lambda idx: brier_arrays(a.probs[idx], a.true_class[idx])
+        return on_resample(lambda idx: brier_arrays(a.probs[idx], a.true_class[idx]))
     if metric == "accuracy":
-        return lambda idx: float(np.mean(a.correct[idx]))
+        return on_resample(lambda idx: float(np.mean(a.correct[idx])))
     if metric in ("auroc", "aupr"):
         if class_id is None:
             raise ValueError(f"{metric} needs class_id")
         scores = a.probs[:, class_id]
         labels = a.true_class == class_id
-        fn = auroc_arrays if metric == "auroc" else aupr_arrays
-        return lambda idx: fn(scores[idx], labels[idx])
+        if metric == "aupr":
+            return _aupr_by_draw(scores, labels, groups)
+        return on_resample(lambda idx: auroc_arrays(scores[idx], labels[idx]))
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -235,6 +282,11 @@ def bootstrap_ci(
     attempts, so results are bit-reproducible and order-independent.
     Resamples on which the metric is undefined (e.g. no positives for AUPR)
     are skipped and replaced, up to 10x n_resamples attempts.
+
+    AUPR resamples are scored as the presorted records weighted by the
+    draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to
+    ``aupr_arrays`` on the concatenated resample; every other metric scores
+    the concatenated resample itself.
     """
     if not records:
         raise EmptyInput("no records")
@@ -243,7 +295,7 @@ def bootstrap_ci(
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     subjects, groups = _subject_groups(records)
-    eval_metric = _resolve_metric(records, metric, bins, class_id)
+    eval_metric = _resolve_metric(records, metric, bins, class_id, groups)
     n_subjects = len(subjects)
 
     values = np.empty(n_resamples, dtype=np.float64)
@@ -254,9 +306,8 @@ def bootstrap_ci(
             break
         rng = np.random.default_rng([seed, attempt])
         draw = rng.integers(0, n_subjects, size=n_subjects)
-        idx = np.concatenate([groups[d] for d in draw])
         try:
-            values[got] = eval_metric(idx)
+            values[got] = eval_metric(draw)
         except (DegenerateLabels, EmptyInput, MissingProbs):
             continue
         got += 1

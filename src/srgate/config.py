@@ -7,6 +7,7 @@ fed back in to reproduce it byte-for-byte.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -186,6 +187,18 @@ class ExperimentConfig:
     resamples: int = 1000
     ci_level: float = 0.95
     critical_fp_conf_cut: float = 0.5
+
+    def __post_init__(self):
+        # these arrive from flags and config files; bool is an int subclass
+        def number(value, kind) -> bool:
+            return isinstance(value, kind) and not isinstance(value, bool)
+
+        if not (number(self.bins, numbers.Integral) and self.bins >= 1):
+            raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
+        if not (number(self.resamples, numbers.Integral) and self.resamples >= 0):
+            raise ValueError(f"resamples must be an integer >= 0, got {self.resamples!r}")
+        if not (number(self.ci_level, numbers.Real) and 0.0 < self.ci_level < 1.0):
+            raise ValueError(f"ci_level must be a number in (0, 1), got {self.ci_level!r}")
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)
@@ -380,8 +393,8 @@ def experiment_from_dict(d: Mapping) -> ExperimentConfig:
         guard_threshold=float(d["guard_threshold"]),
         guard_discount=float(d["guard_discount"]),
         guard_relative=bool(d["guard_relative"]),
-        bins=int(d["bins"]),
-        resamples=int(d["resamples"]),
-        ci_level=float(d["ci_level"]),
+        bins=d["bins"],
+        resamples=d["resamples"],
+        ci_level=d["ci_level"],
         critical_fp_conf_cut=float(d["critical_fp_conf_cut"]),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, ZeroNormalizer
@@ -65,15 +66,19 @@ class CostProfile:
         dim = dimension or self.utility_dimension
         return self.entry(level).get(dim) - self.none.get(dim)
 
-    def utility_cost(self, level: SRLevel) -> float:
-        """Normalized cost used by the utility tradeoff: NONE=0, X4=1."""
+    @cached_property
+    def _utility_costs(self) -> tuple[float, float, float]:
         denom = self.increment(SRLevel.X4)
         if denom == 0.0:
-            return 0.0
-        return self.increment(level) / denom
+            return (0.0, 0.0, 0.0)
+        return tuple(self.increment(level) / denom for level in SRLevel)
+
+    def utility_cost(self, level: SRLevel) -> float:
+        """Normalized cost used by the utility tradeoff: NONE=0, X4=1."""
+        return self._utility_costs[int(level)]
 
     def utility_costs(self) -> tuple[float, float, float]:
-        return tuple(self.utility_cost(level) for level in SRLevel)
+        return self._utility_costs
 
 
 @dataclass(frozen=True)

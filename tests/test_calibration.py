@@ -16,7 +16,9 @@ from helpers import (
     random_records,
 )
 from srgate.calibration import (
+    _aupr_by_draw,
     aupr,
+    aupr_arrays,
     auroc,
     bootstrap_ci,
     brier,
@@ -228,6 +230,24 @@ def test_aupr_requires_positives():
         aupr([0.4, 0.2], [0, 0])
 
 
+@pytest.mark.parametrize("decimals", [1, 3])
+def test_aupr_weights_count_records_repeated(decimals):
+    rng = np.random.default_rng(40 + decimals)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        scores = np.round(rng.random(n), decimals)
+        labels = rng.random(n) < 0.3
+        weights = rng.integers(0, 4, size=n)
+        repeated = np.repeat(np.arange(n), weights)
+        try:
+            want = aupr_arrays(scores[repeated], labels[repeated])
+        except DegenerateLabels:
+            with pytest.raises(DegenerateLabels):
+                aupr_arrays(scores, labels, weights)
+            continue
+        assert aupr_arrays(scores, labels, weights).hex() == want.hex()
+
+
 # --- bootstrap ------------------------------------------------------------------------
 
 def test_bootstrap_single_subject_zero_width():
@@ -270,12 +290,94 @@ def reference_resampler(records, metric_fn, n_resamples, level, seed):
     return float(lo), float(hi)
 
 
-def test_bootstrap_matches_reference_resampler_small():
+def _aupr_of_class(k):
+    return lambda rs: aupr([r.probs[k] for r in rs], [r.true_class == k for r in rs])
+
+
+@pytest.mark.parametrize(
+    "metric,class_id,reference",
+    [pytest.param("ece", None, ece, id="ece"), pytest.param("aupr", 6, _aupr_of_class(6), id="aupr")],
+)
+def test_bootstrap_matches_reference_resampler_small(metric, class_id, reference):
     rng = np.random.default_rng(8)
     recs = random_records(rng, 24, n_subjects=3)
-    got = bootstrap_ci(recs, "ece", n_resamples=8, level=0.95, seed=5)
-    want = reference_resampler(recs, ece, 8, 0.95, 5)
+    got = bootstrap_ci(recs, metric, n_resamples=32, level=0.95, seed=5, class_id=class_id)
+    want = reference_resampler(recs, reference, 32, 0.95, 5)
     assert got == want
+
+
+def _assert_draws_score_as_concatenation(scores, labels, groups, draws) -> int:
+    """Each draw's AUPR equals aupr_arrays on the concatenated resample, bit
+    for bit, or both raise; returns how many draws were degenerate."""
+    evaluate = _aupr_by_draw(scores, labels, groups)
+    degenerate = 0
+    for draw in draws:
+        idx = np.concatenate([groups[d] for d in draw])
+        try:
+            want = aupr_arrays(scores[idx], labels[idx])
+        except DegenerateLabels:
+            degenerate += 1
+            with pytest.raises(DegenerateLabels):
+                evaluate(draw)
+            continue
+        assert evaluate(draw).hex() == want.hex()
+    return degenerate
+
+
+def _random_case(rng, n_subjects, decimals, positive_rate):
+    sizes = rng.integers(1, 12, size=n_subjects)
+    subject = np.repeat(np.arange(n_subjects), sizes)
+    rng.shuffle(subject)
+    groups = [np.flatnonzero(subject == s) for s in range(n_subjects)]
+    scores = np.round(rng.random(subject.size), decimals)
+    labels = rng.random(subject.size) < positive_rate
+    return scores, labels, groups
+
+
+@pytest.mark.parametrize("decimals", [1, 2, 3, 4])
+@pytest.mark.parametrize("positive_rate", [0.03, 0.3, 0.8])
+def test_aupr_draw_matches_concatenated_resample(decimals, positive_rate):
+    rng = np.random.default_rng(1000 * decimals + int(100 * positive_rate))
+    degenerate = 0
+    for _ in range(60):
+        n_subjects = int(rng.integers(1, 7))
+        scores, labels, groups = _random_case(rng, n_subjects, decimals, positive_rate)
+        draws = [rng.integers(0, n_subjects, size=n_subjects) for _ in range(8)]
+        degenerate += _assert_draws_score_as_concatenation(scores, labels, groups, draws)
+    if positive_rate < 0.1:
+        assert degenerate > 0  # the rare class leaves some draws without a positive
+
+
+def test_aupr_draw_single_subject():
+    scores = np.round(np.random.default_rng(12).random(30), 1)
+    labels = np.arange(30) % 4 == 0
+    groups = [np.arange(30)]
+    _assert_draws_score_as_concatenation(scores, labels, groups, [np.array([0])])
+    with pytest.raises(DegenerateLabels):
+        _aupr_by_draw(scores, np.zeros(30, dtype=bool), groups)(np.array([0]))
+
+
+def test_aupr_draw_tie_group_positive_of_undrawn_subject():
+    # Subject 0 holds a record in every tie group, subject 1 a positive in
+    # about half of them. Drawing subject 0 twice keeps each shared tie group
+    # through 0's record, often a negative, although 1's positive was not
+    # drawn; those groups must still count as kept and add a 0.0 term.
+    rng = np.random.default_rng(13)
+    levels = np.round(np.linspace(0.05, 0.95, 19), 2)
+    scores, labels, subject = [], [], []
+    for level in levels:
+        scores.append(level)
+        labels.append(bool(rng.random() < 0.4))
+        subject.append(0)
+        if rng.random() < 0.5:
+            scores.append(level)
+            labels.append(True)
+            subject.append(1)
+    subject = np.array(subject)
+    groups = [np.flatnonzero(subject == s) for s in range(2)]
+    scores, labels = np.array(scores), np.array(labels)
+    draws = [np.array(d) for d in ([0, 0], [0, 1], [1, 1], [1, 0])]
+    _assert_draws_score_as_concatenation(scores, labels, groups, draws)
 
 
 def test_bootstrap_interval_within_resample_extremes():

@@ -70,6 +70,38 @@ def test_out_of_range_threshold_exits_2(stream_log, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "subcommand,flags,filecfg,field",
+    [
+        ("calibrate", ["--resamples", "-5"], None, "resamples"),
+        ("simulate", ["--resamples", "-3"], None, "resamples"),
+        ("calibrate", [], {"resamples": 2.5}, "resamples"),
+        ("calibrate", [], {"resamples": True}, "resamples"),
+        ("calibrate", [], {"resamples": "1000"}, "resamples"),
+        ("calibrate", ["--bins", "0"], None, "bins"),
+        ("calibrate", [], {"bins": 10.0}, "bins"),
+        ("calibrate", ["--ci-level", "1.0"], None, "ci_level"),
+        ("calibrate", ["--ci-level", "nan"], None, "ci_level"),
+        ("calibrate", [], {"ci_level": "0.95"}, "ci_level"),
+    ],
+)
+def test_bad_bootstrap_setting_exits_2_naming_field(
+    stream_log, tmp_path, capsys, subcommand, flags, filecfg, field
+):
+    argv = [subcommand, "--seed", "7", "--out", str(tmp_path / "o"), *flags]
+    if subcommand == "calibrate":
+        argv += ["--log", stream_log]
+    else:
+        argv += ["--n-per-class", "5", "--subjects", "3"]
+    if filecfg is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(filecfg))
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o" / "effective_config.json").exists()
+
+
 def test_gate_writes_decision_csv(stream_log, tmp_path):
     out = tmp_path / "out"
     code = run_cli(
