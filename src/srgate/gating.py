@@ -11,6 +11,7 @@ enhancement tagged `uncovered_default` so audits can find those records.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ from .records import (
     GateDecision,
     GateReason,
     PredictionRecord,
+    RecordArrays,
     SRLevel,
     UtilityParams,
     record_arrays,
@@ -156,28 +158,30 @@ def gate_adaptive(
 # --- realized-utility objective over threshold grids --------------------------
 
 def utility_matrix(
-    records: Sequence[PredictionRecord],
+    records: Sequence[PredictionRecord] | RecordArrays,
     params: UtilityParams,
     costs: CostProfile,
     objective: str = "outcome",
 ) -> np.ndarray:
     """(n, 3) matrix of realized per-record utility at each level.
 
+    records may also be given as their ``record_arrays``, so a caller that
+    already holds the arrays does not convert the records twice.
     objective='outcome' scores the accuracy-gain term by the record's
     realized error (labels are known here); 'heuristic' falls back to the
     1-p expectation for label-free logs.
     """
     if objective not in ("outcome", "heuristic"):
         raise ValueError(f"unknown objective {objective!r}")
-    a = record_arrays(records)
+    a = records if isinstance(records, RecordArrays) else record_arrays(records)
     factor = (1.0 - a.correct.astype(np.float64)) if objective == "outcome" else 1.0 - a.confidence
     w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
-    gains = np.array(
-        [[params.gain(int(k), level) for level in _LEVELS] for k in a.pred],
+    gain_table = np.array(
+        [[params.gain(k, level) for level in _LEVELS] for k in range(a.probs.shape[1])],
         dtype=np.float64,
     )
     cost_norm = np.array(costs.utility_costs(), dtype=np.float64)
-    return gains * (factor * w)[:, None] - params.lam * cost_norm[None, :]
+    return gain_table[a.pred] * (factor * w)[:, None] - params.lam * cost_norm[None, :]
 
 
 @dataclass(frozen=True)
@@ -219,19 +223,19 @@ def optimize_thresholds(
         raise EmptyInput("no records")
     if not 0.0 < grid_step <= 0.25:
         raise ValueError("grid_step must lie in (0, 0.25]")
-    grid = threshold_grid(grid_step)
-    pairs = [(lo, hi) for lo in grid for hi in grid if lo < hi]
-    lo_arr = np.array([pr[0] for pr in pairs])
-    hi_arr = np.array([pr[1] for pr in pairs])
+    grid = np.array(threshold_grid(grid_step))
+    # every pair lo < hi, in the order of a loop over lo, then hi
+    lo_idx, hi_idx = np.triu_indices(grid.size, k=1)
+    lo_arr, hi_arr = grid[lo_idx], grid[hi_idx]
     a = record_arrays(records)
-    util = utility_matrix(records, params, costs, objective)
+    util = utility_matrix(a, params, costs, objective)
     means, _ = kernels.utility_surface(
         a.confidence, a.criticality, util, lo_arr, hi_arr, critical_cut
     )
     surface = tuple(
-        SurfacePoint(lo, hi, float(u)) for (lo, hi), u in zip(pairs, means)
+        map(SurfacePoint, lo_arr.tolist(), hi_arr.tolist(), means.tolist())
     )
-    best = max(surface, key=lambda s: (s.mean_utility, s.tau_high, s.tau_low))
+    best = surface[np.lexsort((lo_arr, hi_arr, means))[-1]]
     return OptimizeResult(best.tau_low, best.tau_high, best.mean_utility, surface)
 
 
@@ -263,26 +267,32 @@ def sensitivity_sweep(
     """
     if not records:
         raise EmptyInput("no records")
-    if not 0.0 <= rel_range < 1.0:
-        raise ValueError("rel_range must lie in [0, 1)")
+    # both may come from a config file; bool is an int subclass
+    if isinstance(rel_range, bool) or not (
+        isinstance(rel_range, numbers.Real) and 0.0 <= rel_range < 1.0
+    ):
+        raise ValueError(f"rel_range must be a number in [0, 1), got {rel_range!r}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if rel_range == 0.0:
         scales = np.array([1.0])
     else:
         if steps < 2:
             raise ValueError("steps must be >= 2")
         scales = np.linspace(1.0 - rel_range, 1.0 + rel_range, steps)
-    combos = [(sl, sh) for sl in scales for sh in scales]
-    lo_arr = np.clip(np.array([sl * t.tau_low for sl, _ in combos]), 0.0, 1.0)
-    hi_arr = np.clip(np.array([sh * t.tau_high for _, sh in combos]), 0.0, 1.0)
+    # one row per (scale_low, scale_high), scale_low varying slowest
+    scale_lo, scale_hi = (g.ravel() for g in np.meshgrid(scales, scales, indexing="ij"))
+    lo_arr = np.clip(scale_lo * t.tau_low, 0.0, 1.0)
+    hi_arr = np.clip(scale_hi * t.tau_high, 0.0, 1.0)
     a = record_arrays(records)
-    util = utility_matrix(records, params, costs, objective)
+    util = utility_matrix(a, params, costs, objective)
     means, hist = kernels.utility_surface(
         a.confidence, a.criticality, util, lo_arr, hi_arr, t.critical_cut
     )
     n = len(records)
     gflops = np.array([costs.total(level, "gflops") for level in _LEVELS])
     rows = []
-    for j, (sl, sh) in enumerate(combos):
+    for j, (sl, sh) in enumerate(zip(scale_lo, scale_hi)):
         mean_cost = float(hist[j].astype(np.float64) @ gflops) / n
         rows.append(
             SweepRow(

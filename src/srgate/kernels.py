@@ -1,5 +1,10 @@
-"""Array kernels: the batched gate rule, the threshold utility surface and
-the Laplacian stencil.
+"""Array kernels: the threshold utility surface and the Laplacian stencil.
+
+The utility surface uses that the gate is piecewise constant in
+(tau_low, tau_high): records sorted by confidence fall into three
+contiguous runs (4x, 2x, none), so prefix sums answer every threshold
+pair with two binary searches. That costs O(n log n + m) for n records
+and m pairs, instead of O(n * m) for gating every record at every pair.
 
 gating.py and quality.py call these through the module attribute
 (``kernels.<name>``), so a profiler can wrap each kernel in one place.
@@ -10,36 +15,45 @@ from __future__ import annotations
 import numpy as np
 
 
-def gate_levels(p, c, tau_low, tau_high, critical_cut):
-    """Vectorized form of the gating policy in ``gating._gate_scalar``.
-
-    p: confidences, c: 0/1 criticality flags, tau_high: scalar or per-record
-    array (the adaptive path varies it). Returns uint8 levels with
-    0=none, 1=2x, 2=4x; the 4x conditions take precedence over the skip.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    c = np.asarray(c)
-    levels = np.where(p > tau_high, 0, 1).astype(np.uint8)
-    levels[(p <= tau_low) | ((c == 1) & (p < critical_cut))] = 2
-    return levels
-
-
 def utility_surface(p, c, util, lo_arr, hi_arr, critical_cut):
     """Mean per-record utility and level histogram for each threshold pair.
 
-    util is an (n, 3) matrix of record utilities per level; (lo_arr, hi_arr)
-    enumerate threshold pairs. Returns (means[m], hist[m, 3]).
+    util is an (n, 3) matrix of record utilities per level (none, 2x, 4x);
+    (lo_arr, hi_arr) enumerate threshold pairs. Returns (means[m], hist[m, 3])
+    under the gate of ``gating._gate_scalar``: 4x when p <= tau_low or when
+    c == 1 and p < critical_cut, none when p > tau_high, 2x otherwise.
+
+    Method: the records forced to 4x by criticality are set aside; the
+    others are sorted by p once (stable) and the three utility columns are
+    prefix-summed in that order. For a pair, i = #{p <= lo} and
+    j = #{p <= max(lo, hi)} (``searchsorted(..., side="right")``); the
+    sorted records [0, i) are 4x, [i, j) 2x and [j, n_free) none. Taking
+    max(lo, hi) gives pairs with lo >= hi an empty 2x band, as the gate does.
+    Cost: O(n log n) to sort and sum, then O(log n) per pair. Pairs with the
+    same level assignment share (i, j), so their means are bit-equal.
     """
     p = np.asarray(p, dtype=np.float64)
     util = np.asarray(util, dtype=np.float64)
-    n = p.size
-    means = np.empty(len(lo_arr), dtype=np.float64)
-    hist = np.empty((len(lo_arr), 3), dtype=np.int64)
-    idx = np.arange(n)
-    for j, (lo, hi) in enumerate(zip(lo_arr, hi_arr)):
-        levels = gate_levels(p, c, lo, hi, critical_cut)
-        means[j] = util[idx, levels].sum() / n
-        hist[j] = np.bincount(levels, minlength=3)
+    lo = np.asarray(lo_arr, dtype=np.float64)
+    hi = np.maximum(lo, np.asarray(hi_arr, dtype=np.float64))
+    forced = (np.asarray(c) == 1) & (p < critical_cut)
+    free = ~forced
+    order = np.argsort(p[free], kind="stable")
+    p_free = p[free][order]
+    n_free = p_free.size
+    # prefix[k, level]: utility at that level summed over the k lowest confidences
+    prefix = np.zeros((n_free + 1, 3), dtype=np.float64)
+    np.cumsum(util[free][order], axis=0, out=prefix[1:])
+    i = np.searchsorted(p_free, lo, side="right")
+    j = np.searchsorted(p_free, hi, side="right")
+    total = (
+        util[forced, 2].sum()
+        + prefix[i, 2]
+        + (prefix[j, 1] - prefix[i, 1])
+        + (prefix[n_free, 0] - prefix[j, 0])
+    )
+    means = total / p.size
+    hist = np.stack([n_free - j, j - i, (p.size - n_free) + i], axis=1).astype(np.int64)
     return means, hist
 
 

@@ -102,6 +102,28 @@ def test_bad_bootstrap_setting_exits_2_naming_field(
     assert not (tmp_path / "o" / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize(
+    "filecfg,field",
+    [
+        ({"steps": 2.5}, "steps"),
+        ({"steps": 3.0}, "steps"),
+        ({"steps": True}, "steps"),
+        ({"steps": "5"}, "steps"),
+        ({"rel_range": "0.25"}, "rel_range"),
+        ({"rel_range": True}, "rel_range"),
+        ({"rel_range": float("nan")}, "rel_range"),
+        ({"rel_range": float("inf")}, "rel_range"),
+    ],
+)
+def test_bad_sweep_setting_exits_2_naming_field(stream_log, tmp_path, capsys, filecfg, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(filecfg))
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--log", stream_log, "--config", str(cfg), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
 def test_gate_writes_decision_csv(stream_log, tmp_path):
     out = tmp_path / "out"
     code = run_cli(
