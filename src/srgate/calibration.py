@@ -2,7 +2,9 @@
 and subject-level bootstrap confidence intervals.
 
 Record-level operations wrap array-level implementations so the bootstrap
-can resample cheaply; both routes share the same arithmetic.
+can resample cheaply; both routes share the same arithmetic. They also
+take the records' ``RecordArrays``, or any row selection of it, so a
+caller that holds the arrays does not convert the records again.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import CLASSES, PredictionRecord, record_arrays
+from .records import CLASSES, PredictionRecord, RecordArrays, record_arrays
+
+Records = Sequence[PredictionRecord] | RecordArrays
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,21 @@ def aupr_arrays(
 
 # --- record-level operations ----------------------------------------------------
 
-def reliability_bins(
-    records: Sequence[PredictionRecord], m: int = 10
-) -> list[ReliabilityBin]:
-    if not records:
+def _arrays(records: Records, m: int | None = None) -> RecordArrays:
+    """The arrays of `records`, converted only if they are records.
+
+    Checks emptiness first, then the bin count `m` if one is given.
+    """
+    given = isinstance(records, RecordArrays)
+    if (records.confidence.size if given else len(records)) == 0:
         raise EmptyInput("no records")
-    if m < 1:
+    if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    a = record_arrays(records)
+    return records if given else record_arrays(records)
+
+
+def reliability_bins(records: Records, m: int = 10) -> list[ReliabilityBin]:
+    a = _arrays(records, m)
     counts, conf_sums, acc_sums = _bin_stats(a.confidence, a.correct, m)
     bins = []
     for i in range(m):
@@ -166,24 +177,20 @@ def reliability_bins(
     return bins
 
 
-def ece(records: Sequence[PredictionRecord], m: int = 10) -> float:
+def ece(records: Records, m: int = 10) -> float:
     """Bin-weighted mean absolute gap between confidence and accuracy."""
-    if not records:
-        raise EmptyInput("no records")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a = record_arrays(records)
+    a = _arrays(records, m)
     return ece_arrays(a.confidence, a.correct, m)
 
 
-def brier(records: Sequence[PredictionRecord]) -> float:
+def brier(records: Records) -> float:
     """Mean squared distance between probability vectors and one-hot labels."""
-    a = record_arrays(records)
+    a = _arrays(records)
     return brier_arrays(a.probs, a.true_class)
 
 
-def accuracy(records: Sequence[PredictionRecord]) -> float:
-    return float(np.mean(record_arrays(records).correct))
+def accuracy(records: Records) -> float:
+    return float(np.mean(_arrays(records).correct))
 
 
 def auroc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -200,7 +207,8 @@ def aupr(scores: Sequence[float], labels: Sequence[bool]) -> float:
 MAX_ATTEMPT_FACTOR = 10
 
 
-def _subject_groups(records: Sequence[PredictionRecord]):
+def subject_groups(records: Sequence[PredictionRecord]):
+    """Sorted subject ids and, for each, the ascending indices of its records."""
     groups: dict[str, list[int]] = {}
     for i, r in enumerate(records):
         groups.setdefault(r.subject_id, []).append(i)
@@ -294,7 +302,7 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0,1)")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    subjects, groups = _subject_groups(records)
+    subjects, groups = subject_groups(records)
     eval_metric = _resolve_metric(records, metric, bins, class_id, groups)
     n_subjects = len(subjects)
 
@@ -321,10 +329,10 @@ def bootstrap_ci(
 
 
 def per_class_ranking(
-    records: Sequence[PredictionRecord], class_ids: Sequence[int] | None = None
+    records: Records, class_ids: Sequence[int] | None = None
 ) -> tuple[dict[int, float | None], dict[int, float | None]]:
     """One-vs-rest AUROC and AUPR per class; None where undefined."""
-    a = record_arrays(records)
+    a = _arrays(records)
     ids = list(class_ids) if class_ids is not None else list(range(a.probs.shape[1]))
     aurocs: dict[int, float | None] = {}
     auprs: dict[int, float | None] = {}
@@ -353,12 +361,12 @@ def calibration_report(
     """Full calibration summary, optionally with bootstrap CIs.
 
     ci_metrics entries are "ece", "brier", "accuracy", or "aupr:<class_id>" /
-    "auroc:<class_id>" for one-vs-rest ranking CIs.
+    "auroc:<class_id>" for one-vs-rest ranking CIs. The point metrics share
+    one conversion of the records to arrays.
     """
-    if not records:
-        raise EmptyInput("no records")
-    bin_list = reliability_bins(records, bins)
-    aurocs, auprs = per_class_ranking(records)
+    a = _arrays(records, bins)
+    bin_list = reliability_bins(a, bins)
+    aurocs, auprs = per_class_ranking(a)
     ci = None
     if ci_metrics:
         ci = {}
@@ -376,8 +384,8 @@ def calibration_report(
             )
             ci[name] = (lo, hi, level)
     return CalibrationReport(
-        ece=ece(records, bins),
-        brier=brier(records),
+        ece=ece(a, bins),
+        brier=brier(a),
         bins=tuple(bin_list),
         per_class_auroc=aurocs,
         per_class_aupr=auprs,

@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from dataclasses import replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,20 +55,16 @@ _VALIDATION_ERRORS = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write rows as they come, so a generator is never held whole.
 
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    csv.writer formats each value itself: None as an empty field, a float by
+    its repr (which reproduces it exactly), anything else by str.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_json(path: str, obj) -> None:
@@ -94,6 +92,21 @@ def _pick(args: argparse.Namespace, filecfg: dict, key: str, default):
     return default
 
 
+def _pick_number(args: argparse.Namespace, filecfg: dict, key: str, default):
+    """``_pick`` for a numeric setting; a string or bool exits 2 naming `key`."""
+    value = _pick(args, filecfg, key, default)
+    # bool is an int subclass
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _pick_bool(args: argparse.Namespace, filecfg: dict, key: str, default) -> bool:
+    """``_pick`` for an on/off setting; only JSON true or false is accepted,
+    since a string such as "false" would otherwise read as on."""
+    return cfgmod.require_bool(_pick(args, filecfg, key, default), key)
+
+
 def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
     """Assemble an ExperimentConfig from defaults, config file, and flags."""
     if "thresholds" in filecfg:
@@ -103,29 +116,29 @@ def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
 
     t = config.thresholds
     t = gating.Thresholds(
-        tau_low=_pick(args, filecfg, "tau_low", t.tau_low),
-        tau_high=_pick(args, filecfg, "tau_high", t.tau_high),
-        critical_cut=_pick(args, filecfg, "critical_cut", t.critical_cut),
+        tau_low=_pick_number(args, filecfg, "tau_low", t.tau_low),
+        tau_high=_pick_number(args, filecfg, "tau_high", t.tau_high),
+        critical_cut=_pick_number(args, filecfg, "critical_cut", t.critical_cut),
     )
     a = config.adaptive
     a = replace(
         a,
-        tau_base=_pick(args, filecfg, "tau_base", a.tau_base),
-        alpha_blur=_pick(args, filecfg, "alpha_blur", a.alpha_blur),
-        alpha_light=_pick(args, filecfg, "alpha_light", a.alpha_light),
-        blur_ref=_pick(args, filecfg, "blur_ref", a.blur_ref),
+        tau_base=_pick_number(args, filecfg, "tau_base", a.tau_base),
+        alpha_blur=_pick_number(args, filecfg, "alpha_blur", a.alpha_blur),
+        alpha_light=_pick_number(args, filecfg, "alpha_light", a.alpha_light),
+        blur_ref=_pick_number(args, filecfg, "blur_ref", a.blur_ref),
     )
     u = config.utility
     u = replace(
         u,
-        lam=_pick(args, filecfg, "lambda", u.lam),
-        w_crit=_pick(args, filecfg, "w_crit", u.w_crit),
+        lam=_pick_number(args, filecfg, "lambda", u.lam),
+        w_crit=_pick_number(args, filecfg, "w_crit", u.w_crit),
     )
     effect = config.scenario.sr_effect
     effect = replace(
         effect,
-        uplift_enabled=_pick(args, filecfg, "uplift", effect.uplift_enabled),
-        hallucination_enabled=_pick(
+        uplift_enabled=_pick_bool(args, filecfg, "uplift", effect.uplift_enabled),
+        hallucination_enabled=_pick_bool(
             args, filecfg, "hallucination", effect.hallucination_enabled
         ),
     )
@@ -134,10 +147,10 @@ def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
         adaptive=a,
         utility=u,
         scenario=replace(config.scenario, sr_effect=effect),
-        guard_enabled=_pick(args, filecfg, "guard", config.guard_enabled),
-        guard_threshold=_pick(args, filecfg, "guard_threshold", config.guard_threshold),
-        guard_discount=_pick(args, filecfg, "guard_discount", config.guard_discount),
-        guard_relative=not _pick(
+        guard_enabled=_pick_bool(args, filecfg, "guard", config.guard_enabled),
+        guard_threshold=_pick_number(args, filecfg, "guard_threshold", config.guard_threshold),
+        guard_discount=_pick_number(args, filecfg, "guard_discount", config.guard_discount),
+        guard_relative=not _pick_bool(
             args, filecfg, "guard_absolute", not config.guard_relative
         ),
         bins=_pick(args, filecfg, "bins", config.bins),
@@ -200,37 +213,48 @@ def _cmd_quality(args) -> int:
 
 
 def _decision_rows(recs, config, adaptive: bool):
-    rows = []
+    """One decisions.csv row per record, yielded as it is decided."""
+    t = config.thresholds
     for r in recs:
         if adaptive:
-            d = gating.gate_adaptive(
-                r, config.thresholds, config.adaptive, config.utility, config.costs
-            )
+            d = gating.gate_adaptive(r, t, config.adaptive, config.utility, config.costs)
         else:
-            d = gating.gate(r.confidence, r.criticality, config.thresholds)
-        rows.append(
-            [
-                r.clip_id,
-                r.subject_id,
-                r.confidence,
-                r.criticality,
-                d.level.label,
-                d.reason.value,
-                d.tau_used,
-                d.utility_by_level[0],
-                d.utility_by_level[1],
-                d.utility_by_level[2],
-            ]
+            d = gating.gate(r.confidence, r.criticality, t)
+        yield (
+            r.clip_id,
+            r.subject_id,
+            r.confidence,
+            r.criticality,
+            d.level.label,
+            d.reason.value,
+            d.tau_used,
+            *d.utility_by_level,
         )
-    return rows
+
+
+def _gate_adaptive(args, filecfg: dict) -> bool:
+    """gate's on/off for the adaptive policy: the flag, else the config file.
+
+    gate's echo stores it as "adaptive_gate", since in a whole config (one
+    holding "thresholds") "adaptive" is the AdaptiveTauConfig section; a
+    whole config without "adaptive_gate" runs the fixed policy. A flat
+    config may also give it as "adaptive".
+    """
+    if args.adaptive is not None:
+        return args.adaptive
+    if "adaptive_gate" in filecfg:
+        return cfgmod.require_bool(filecfg["adaptive_gate"], "adaptive_gate")
+    if "thresholds" in filecfg:
+        return False
+    return cfgmod.require_bool(filecfg.get("adaptive", False), "adaptive")
 
 
 def _cmd_gate(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
+    adaptive = _gate_adaptive(args, filecfg)
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
-    adaptive = bool(_pick(args, filecfg, "adaptive", False))
     _write_csv(
         os.path.join(out, "decisions.csv"),
         [
@@ -252,7 +276,7 @@ def _cmd_gate(args) -> int:
         {
             "subcommand": "gate",
             "log": args.log,
-            "adaptive": adaptive,
+            "adaptive_gate": adaptive,
             **cfgmod.experiment_to_dict(config),
         },
     )
@@ -321,12 +345,8 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_guard(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    recs = records.ingest_log(args.log, strict=args.strict)
-    out = _outdir(args)
-    rows = []
+def _guard_rows(recs, config):
+    """One guard.csv row per record, yielded as it is decided."""
     for r in recs:
         d = gating.gate(r.confidence, r.criticality, config.thresholds)
         label = (
@@ -335,8 +355,9 @@ def _cmd_guard(args) -> int:
             else None
         )
         if d.level == records.SRLevel.NONE or r.artifact_score is None:
-            rows.append(
-                [r.clip_id, r.artifact_score, d.level.label, False, d.level != records.SRLevel.NONE, r.confidence, label]
+            yield (
+                r.clip_id, r.artifact_score, d.level.label, False,
+                d.level != records.SRLevel.NONE, r.confidence, label,
             )
             continue
         outcome = guard.apply_guard(
@@ -347,21 +368,26 @@ def _cmd_guard(args) -> int:
             discount=config.guard_discount,
             relative_discount=config.guard_relative,
         )
-        rows.append(
-            [
-                r.clip_id,
-                outcome.p_artifact,
-                d.level.label,
-                outcome.triggered,
-                outcome.used_sr,
-                outcome.final_confidence,
-                label,
-            ]
+        yield (
+            r.clip_id,
+            outcome.p_artifact,
+            d.level.label,
+            outcome.triggered,
+            outcome.used_sr,
+            outcome.final_confidence,
+            label,
         )
+
+
+def _cmd_guard(args) -> int:
+    filecfg = _load_config_file(args.config)
+    config = _experiment_config(args, filecfg)
+    recs = records.ingest_log(args.log, strict=args.strict)
+    out = _outdir(args)
     _write_csv(
         os.path.join(out, "guard.csv"),
         ["clip_id", "p_artifact", "level", "triggered", "used_sr", "final_confidence", "artifact_label"],
-        rows,
+        _guard_rows(recs, config),
     )
     _echo_config(
         out,
@@ -377,11 +403,13 @@ def _cmd_guard(args) -> int:
 def _cmd_sweep(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
-    recs = records.ingest_log(args.log, strict=args.strict)
-    out = _outdir(args)
     rel_range = _pick(args, filecfg, "rel_range", 0.25)
     steps = _pick(args, filecfg, "steps", 5)
     objective = _pick(args, filecfg, "objective", "outcome")
+    # before the ingest and the output directory, so a bad setting costs neither
+    gating.check_sweep_settings(rel_range, steps, objective)
+    recs = records.ingest_log(args.log, strict=args.strict)
+    out = _outdir(args)
     rows = gating.sensitivity_sweep(
         recs,
         config.thresholds,
@@ -497,10 +525,10 @@ def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: 
         _write_csv(
             os.path.join(out, "guard_outcomes.csv"),
             ["clip_id", "p_artifact", "triggered", "used_sr", "final_confidence"],
-            [
-                [o.final.clip_id, o.p_artifact, o.triggered, o.used_sr, o.final.confidence]
+            (
+                (o.final.clip_id, o.p_artifact, o.triggered, o.used_sr, o.final.confidence)
                 for o in outcomes
-            ],
+            ),
         )
     _echo_config(out, effective)
 

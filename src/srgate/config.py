@@ -8,7 +8,7 @@ fed back in to reproduce it byte-for-byte.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .costs import CostProfile, LevelCost
@@ -206,6 +206,14 @@ class ExperimentConfig:
 
 # --- dict round-trips -----------------------------------------------------------
 
+def require_bool(value, key: str) -> bool:
+    """`value` itself if it is a bool; anything else raises ValueError naming
+    `key`, since truthiness would read a string such as "false" as on."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def thresholds_to_dict(t: Thresholds) -> dict:
     return {"tau_low": t.tau_low, "tau_high": t.tau_high, "critical_cut": t.critical_cut}
 
@@ -340,10 +348,10 @@ def sr_effect_to_dict(s: SrEffectConfig) -> dict:
 
 def sr_effect_from_dict(d: Mapping) -> SrEffectConfig:
     return SrEffectConfig(
-        uplift_enabled=bool(d["uplift_enabled"]),
+        uplift_enabled=require_bool(d["uplift_enabled"], "uplift_enabled"),
         uplift_x2=tuple(float(v) for v in d["uplift_x2"]),
         uplift_x4=tuple(float(v) for v in d["uplift_x4"]),
-        hallucination_enabled=bool(d["hallucination_enabled"]),
+        hallucination_enabled=require_bool(d["hallucination_enabled"], "hallucination_enabled"),
         hallucination_rate_x2=float(d["hallucination_rate_x2"]),
         hallucination_rate_x4=float(d["hallucination_rate_x4"]),
         hallucination_targets=tuple(int(v) for v in d["hallucination_targets"]),
@@ -383,16 +391,22 @@ def experiment_to_dict(c: ExperimentConfig) -> dict:
 
 
 def experiment_from_dict(d: Mapping) -> ExperimentConfig:
+    missing = [f.name for f in fields(ExperimentConfig) if f.name not in d]
+    if missing:
+        raise ValueError(
+            f"experiment config lacks keys {missing}; "
+            "an effective_config.json holds them all"
+        )
     return ExperimentConfig(
         thresholds=thresholds_from_dict(d["thresholds"]),
         adaptive=adaptive_from_dict(d["adaptive"]),
         utility=utility_from_dict(d["utility"]),
         costs=costs_from_dict(d["costs"]),
         scenario=scenario_from_dict(d["scenario"]),
-        guard_enabled=bool(d["guard_enabled"]),
+        guard_enabled=require_bool(d["guard_enabled"], "guard_enabled"),
         guard_threshold=float(d["guard_threshold"]),
         guard_discount=float(d["guard_discount"]),
-        guard_relative=bool(d["guard_relative"]),
+        guard_relative=require_bool(d["guard_relative"], "guard_relative"),
         bins=d["bins"],
         resamples=d["resamples"],
         ci_level=d["ci_level"],

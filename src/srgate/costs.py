@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import EmptyInput, ZeroNormalizer
 from .records import GateDecision, SRLevel
 
@@ -109,12 +111,17 @@ def _level_of(item: GateDecision | SRLevel) -> SRLevel:
 
 
 def accumulate_cost(
-    decisions: Iterable[GateDecision | SRLevel], profile: CostProfile
+    decisions: Iterable[GateDecision | SRLevel] | np.ndarray, profile: CostProfile
 ) -> CostSummary:
-    """Sum the per-record cost of each chosen level (base + increment)."""
-    counts = [0, 0, 0]
-    for item in decisions:
-        counts[int(_level_of(item))] += 1
+    """Sum the per-record cost of each chosen level (base + increment).
+
+    `decisions` may also be an integer array of level values.
+    """
+    if not isinstance(decisions, np.ndarray):
+        decisions = np.fromiter((int(_level_of(d)) for d in decisions), dtype=np.int64)
+    counts = np.bincount(decisions, minlength=len(SRLevel)).tolist()
+    if len(counts) != len(SRLevel):
+        raise ValueError(f"level values must lie in 0..{len(SRLevel) - 1}")
     n = sum(counts)
     if n == 0:
         raise EmptyInput("no decisions to accumulate")

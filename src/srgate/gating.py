@@ -125,16 +125,21 @@ def gate(p: float, c: int, t: Thresholds) -> GateDecision:
 def utilities_by_level(
     class_id: int, p: float, c: int, params: UtilityParams, costs: CostProfile
 ) -> tuple[float, float, float]:
-    """Per-level expected utility for the audit trail (NONE is always 0)."""
+    """Per-level expected utility for the audit trail (NONE is always 0).
+
+    Equal, bit for bit, to ``expected_utility(delta_acc_estimate(...),
+    params.weight(c), costs.utility_cost(level), params.lam)`` per level,
+    with the gains and costs read from their cached tables.
+    """
     w = params.weight(c)
-    return tuple(
-        expected_utility(
-            delta_acc_estimate(params, class_id, level, p),
-            w,
-            costs.utility_cost(level),
-            params.lam,
-        )
-        for level in _LEVELS
+    lam = params.lam
+    _, g2, g4 = params.gain_table[class_id]
+    c0, c2, c4 = costs.utility_costs()
+    q = 1.0 - p
+    return (
+        expected_utility(0.0, w, c0, lam),
+        expected_utility(g2 * q, w, c2, lam),
+        expected_utility(g4 * q, w, c4, lam),
     )
 
 
@@ -176,10 +181,7 @@ def utility_matrix(
     a = records if isinstance(records, RecordArrays) else record_arrays(records)
     factor = (1.0 - a.correct.astype(np.float64)) if objective == "outcome" else 1.0 - a.confidence
     w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
-    gain_table = np.array(
-        [[params.gain(k, level) for level in _LEVELS] for k in range(a.probs.shape[1])],
-        dtype=np.float64,
-    )
+    gain_table = np.array(params.gain_table, dtype=np.float64)
     cost_norm = np.array(costs.utility_costs(), dtype=np.float64)
     return gain_table[a.pred] * (factor * w)[:, None] - params.lam * cost_norm[None, :]
 
@@ -239,6 +241,24 @@ def optimize_thresholds(
     return OptimizeResult(best.tau_low, best.tau_high, best.mean_utility, surface)
 
 
+MAX_SWEEP_STEPS = 1000  # the sweep evaluates steps**2 threshold pairs
+
+
+def check_sweep_settings(rel_range, steps, objective: str) -> None:
+    """Raise ValueError naming the first sweep setting that is unusable."""
+    # all three may come from a config file; bool is an int subclass
+    if isinstance(rel_range, bool) or not (
+        isinstance(rel_range, numbers.Real) and 0.0 <= rel_range < 1.0
+    ):
+        raise ValueError(f"rel_range must be a number in [0, 1), got {rel_range!r}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if rel_range != 0.0 and not 2 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}")
+    if objective not in ("outcome", "heuristic"):
+        raise ValueError(f"unknown objective {objective!r}")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     scale_low: float
@@ -267,18 +287,10 @@ def sensitivity_sweep(
     """
     if not records:
         raise EmptyInput("no records")
-    # both may come from a config file; bool is an int subclass
-    if isinstance(rel_range, bool) or not (
-        isinstance(rel_range, numbers.Real) and 0.0 <= rel_range < 1.0
-    ):
-        raise ValueError(f"rel_range must be a number in [0, 1), got {rel_range!r}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+    check_sweep_settings(rel_range, steps, objective)
     if rel_range == 0.0:
         scales = np.array([1.0])
     else:
-        if steps < 2:
-            raise ValueError("steps must be >= 2")
         scales = np.linspace(1.0 - rel_range, 1.0 + rel_range, steps)
     # one row per (scale_low, scale_high), scale_low varying slowest
     scale_lo, scale_hi = (g.ravel() for g in np.meshgrid(scales, scales, indexing="ij"))

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -156,31 +157,35 @@ def validate_record(
     """
     out: list[Violation] = []
     k = len(classes)
+    # A range test written as one chained comparison is False for NaN, and an
+    # infinite bound makes it reject infinities too.
     if not r.subject_id:
         out.append(Violation("subject_id", "must be non-empty"))
     if not isinstance(r.true_class, int) or not 0 <= r.true_class < k:
         out.append(Violation("true_class", f"not a class id in 0..{k - 1}"))
-    if len(r.probs) != k:
-        out.append(Violation("probs", f"expected {k} entries, got {len(r.probs)}"))
-    if any((not math.isfinite(p)) or p < 0.0 or p > 1.0 for p in r.probs):
+    probs = r.probs
+    total = sum(probs)
+    if len(probs) != k:
+        out.append(Violation("probs", f"expected {k} entries, got {len(probs)}"))
+    top = max(probs) if probs else None
+    # a finite sum rules out NaN and infinite entries, so min and max are exact
+    if probs and not (math.isfinite(total) and min(probs) >= 0.0 and top <= 1.0):
         out.append(Violation("probs", "entries must lie in [0,1]"))
-    elif abs(sum(r.probs) - 1.0) > PROB_SUM_TOL:
-        out.append(Violation("probs", f"sum {sum(r.probs):.12f} != 1 within {PROB_SUM_TOL}"))
-    if not math.isfinite(r.confidence) or not 0.0 <= r.confidence <= 1.0:
+    elif abs(total - 1.0) > PROB_SUM_TOL:
+        out.append(Violation("probs", f"sum {total:.12f} != 1 within {PROB_SUM_TOL}"))
+    if not 0.0 <= r.confidence <= 1.0:
         out.append(Violation("confidence", "must lie in [0,1]"))
-    elif r.probs and abs(r.confidence - max(r.probs)) > CONF_TOP1_TOL:
+    elif probs and abs(r.confidence - top) > CONF_TOP1_TOL:
         out.append(Violation("confidence", "confidence != top-1 probability"))
     if r.criticality not in (0, 1):
         out.append(Violation("criticality", "criticality not in {0,1}"))
-    if not math.isfinite(r.blur) or r.blur < 0.0:
+    if not 0.0 <= r.blur < math.inf:
         out.append(Violation("blur", "must be >= 0"))
-    if not math.isfinite(r.lighting) or not 0.0 <= r.lighting <= 1.0:
+    if not 0.0 <= r.lighting <= 1.0:
         out.append(Violation("lighting", "must lie in [0,1]"))
     if r.artifact_score is not None and not 0.0 <= r.artifact_score <= 1.0:
         out.append(Violation("artifact_score", "must lie in [0,1]"))
-    if r.perceptual_loss is not None and (
-        not math.isfinite(r.perceptual_loss) or r.perceptual_loss < 0.0
-    ):
+    if r.perceptual_loss is not None and not 0.0 <= r.perceptual_loss < math.inf:
         out.append(Violation("perceptual_loss", "must be finite and >= 0"))
     if r.ssim_vs_hr is not None and not -1.0 <= r.ssim_vs_hr <= 1.0:
         out.append(Violation("ssim_vs_hr", "must lie in [-1,1]"))
@@ -198,6 +203,8 @@ _REQUIRED_KEYS = (
     "lighting",
 )
 _OPTIONAL_KEYS = ("artifact_score", "perceptual_loss", "ssim_vs_hr")
+_REQUIRED = frozenset(_REQUIRED_KEYS)
+_KNOWN = _REQUIRED | frozenset(_OPTIONAL_KEYS)
 
 
 def _int_field(obj: Mapping, key: str, line_no: int) -> int:
@@ -209,27 +216,31 @@ def _int_field(obj: Mapping, key: str, line_no: int) -> int:
 
 
 def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionRecord:
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
+    keys = obj.keys()
+    if not keys >= _REQUIRED:
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
         raise MalformedRecord(line_no, f"missing keys: {missing}")
-    unknown = set(obj) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
+    unknown = keys - _KNOWN
     if unknown:
         if strict:
             raise MalformedRecord(line_no, f"unknown keys: {sorted(unknown)}")
         log.warning("line %d: ignoring unknown keys %s", line_no, sorted(unknown))
+    artifact = obj.get("artifact_score")
+    loss = obj.get("perceptual_loss")
+    ssim = obj.get("ssim_vs_hr")
     try:
         rec = PredictionRecord(
             subject_id=str(obj["subject_id"]),
             clip_id=str(obj["clip_id"]),
             true_class=_int_field(obj, "true_class", line_no),
-            probs=tuple(float(p) for p in obj["probs"]),
+            probs=tuple(map(float, obj["probs"])),
             confidence=float(obj["confidence"]),
             criticality=_int_field(obj, "criticality", line_no),
             blur=float(obj["blur"]),
             lighting=float(obj["lighting"]),
-            artifact_score=None if obj.get("artifact_score") is None else float(obj["artifact_score"]),
-            perceptual_loss=None if obj.get("perceptual_loss") is None else float(obj["perceptual_loss"]),
-            ssim_vs_hr=None if obj.get("ssim_vs_hr") is None else float(obj["ssim_vs_hr"]),
+            artifact_score=None if artifact is None else float(artifact),
+            perceptual_loss=None if loss is None else float(loss),
+            ssim_vs_hr=None if ssim is None else float(ssim),
         )
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(line_no, f"bad field value: {exc}") from exc
@@ -386,6 +397,14 @@ class UtilityParams:
                     raise MissingTableEntry(f"no entry for (class {cid}, {level.label})")
             if self.delta_acc_table[(cid, SRLevel.NONE)] != 0.0:
                 raise ValueError("no-enhancement gain must be 0 for every class")
+
+    @cached_property
+    def gain_table(self) -> tuple[tuple[float, float, float], ...]:
+        """Row k holds class k's gains at (NONE, 2x, 4x), read from
+        `delta_acc_table` once, on first use."""
+        return tuple(
+            tuple(self.gain(k, level) for level in SRLevel) for k in range(NUM_CLASSES)
+        )
 
     def gain(self, class_id: int, level: SRLevel) -> float:
         try:

@@ -44,7 +44,9 @@ from .records import (
     CLASSES,
     NUM_CLASSES,
     PredictionRecord,
+    RecordArrays,
     SRLevel,
+    record_arrays,
     subjects_of,
     validate_record,
 )
@@ -299,17 +301,22 @@ def evaluate_records(
     ]
 
 
+_CRITICAL = np.array([c.critical for c in CLASSES])
+
+
+def _critical_fp_mask(a: RecordArrays, conf_cut: float) -> np.ndarray:
+    """Per row: a non-critical truth predicted as a critical class above the cut."""
+    return ~_CRITICAL[a.true_class] & _CRITICAL[a.pred] & (a.confidence > conf_cut)
+
+
 def count_critical_fp(
     outcomes: Sequence[EvalOutcome], conf_cut: float = 0.5
 ) -> int:
     """Non-critical truths confidently predicted as a critical class."""
-    n = 0
-    for o in outcomes:
-        truth_critical = CLASSES[o.final.true_class].critical
-        pred_critical = CLASSES[o.final.predicted_class].critical
-        if not truth_critical and pred_critical and o.final.confidence > conf_cut:
-            n += 1
-    return n
+    if not outcomes:
+        return 0
+    a = record_arrays([o.final for o in outcomes])
+    return int(np.count_nonzero(_critical_fp_mask(a, conf_cut)))
 
 
 # --- experiment report ------------------------------------------------------------------
@@ -372,6 +379,13 @@ def run_experiment_with_outcomes(
     pooled calibration report carries subject-level bootstrap CIs for ECE
     and for AUPR of each critical class. Also returns the per-record
     outcomes for audit emission.
+
+    Scoring runs on arrays: after the pooled report, the final records
+    become one ``RecordArrays``, plus an SR-level array and a guard-trigger
+    array, each built once. Pooled cost, guard counts and critical false
+    positives come from those arrays, and every fold's accuracy, ECE,
+    Brier, cost, triggers and critical false positives from the rows of
+    its test subject, selected by an integer index array.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
@@ -384,20 +398,7 @@ def run_experiment_with_outcomes(
 
     folds = loso_splits(records)
     outcomes = evaluate_records(records, policy, config, seed)
-
     final_records = [o.final for o in outcomes]
-    levels = [o.level for o in outcomes]
-    cost = accumulate_cost(levels, config.costs)
-
-    n_sr = sum(1 for o in outcomes if o.level != SRLevel.NONE)
-    n_triggered = sum(1 for o in outcomes if o.triggered)
-    guard = GuardStats(
-        n_sr=n_sr,
-        n_triggered=n_triggered,
-        trigger_rate=(n_triggered / n_sr) if n_sr else 0.0,
-        critical_false_positives=count_critical_fp(outcomes, config.critical_fp_conf_cut),
-        critical_fp_conf_cut=config.critical_fp_conf_cut,
-    )
 
     critical_ids = sorted(c.id for c in CLASSES if c.critical)
     ci_metrics = ["ece"] + [f"aupr:{k}" for k in critical_ids]
@@ -410,27 +411,39 @@ def run_experiment_with_outcomes(
         seed=seed,
     )
 
-    by_subject: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_subject.setdefault(r.subject_id, []).append(i)
+    # built after the report, which holds its own arrays only while it runs
+    arrays = record_arrays(final_records)
+    levels = np.fromiter((o.level for o in outcomes), dtype=np.int64, count=len(outcomes))
+    triggered = np.fromiter((o.triggered for o in outcomes), dtype=bool, count=len(outcomes))
+    critical_fp = _critical_fp_mask(arrays, config.critical_fp_conf_cut)
+
+    n_sr = int(np.count_nonzero(levels))
+    n_triggered = int(np.count_nonzero(triggered))
+    guard = GuardStats(
+        n_sr=n_sr,
+        n_triggered=n_triggered,
+        trigger_rate=(n_triggered / n_sr) if n_sr else 0.0,
+        critical_false_positives=int(np.count_nonzero(critical_fp)),
+        critical_fp_conf_cut=config.critical_fp_conf_cut,
+    )
+    cost = accumulate_cost(levels, config.costs)
+
+    subjects, groups = calibration.subject_groups(records)
     fold_results = []
-    for fold in folds:
-        idx = by_subject[fold.test_subject]
-        fold_outcomes = [outcomes[i] for i in idx]
-        fold_finals = [o.final for o in fold_outcomes]
-        fold_cost = accumulate_cost([o.level for o in fold_outcomes], config.costs)
+    for fold, subject, idx in zip(folds, subjects, groups, strict=True):
+        # both list subjects in sorted order; a fold scores its own subject's rows
+        assert fold.test_subject == subject, (fold.test_subject, subject)
+        rows = RecordArrays(*(column[idx] for column in arrays))
         fold_results.append(
             FoldResult(
                 test_subject=fold.test_subject,
                 n=len(idx),
-                accuracy=calibration.accuracy(fold_finals),
-                ece=calibration.ece(fold_finals, config.bins),
-                brier=calibration.brier(fold_finals),
-                mean_gflops=fold_cost.mean_gflops,
-                guard_triggers=sum(1 for o in fold_outcomes if o.triggered),
-                critical_false_positives=count_critical_fp(
-                    fold_outcomes, config.critical_fp_conf_cut
-                ),
+                accuracy=calibration.accuracy(rows),
+                ece=calibration.ece(rows, config.bins),
+                brier=calibration.brier(rows),
+                mean_gflops=accumulate_cost(levels[idx], config.costs).mean_gflops,
+                guard_triggers=int(np.count_nonzero(triggered[idx])),
+                critical_false_positives=int(np.count_nonzero(critical_fp[idx])),
             )
         )
 

@@ -24,14 +24,16 @@ from srgate.calibration import (
     brier,
     calibration_report,
     ece,
+    per_class_ranking,
     reliability_bins,
 )
+from srgate import calibration
 from srgate.errors import (
     DegenerateLabels,
     EmptyInput,
     MetricUndefinedOnResample,
 )
-from srgate.records import PredictionRecord
+from srgate.records import PredictionRecord, RecordArrays, record_arrays
 
 
 def _scored_records(confidences, corrects):
@@ -47,6 +49,33 @@ def _scored_records(confidences, corrects):
             )
         )
     return recs
+
+
+# --- records or their arrays ------------------------------------------------------
+
+def test_metrics_on_record_arrays_equal_metrics_on_records():
+    recs = random_records(np.random.default_rng(41), 97)
+    a = record_arrays(recs)
+    rows = np.array([3, 5, 8, 13, 21, 34, 55, 89])
+    part = [recs[i] for i in rows]
+    picked = RecordArrays(*(column[rows] for column in a))
+    for records, arrays in ((recs, a), (part, picked)):
+        assert calibration.accuracy(arrays).hex() == calibration.accuracy(records).hex()
+        assert ece(arrays, 7).hex() == ece(records, 7).hex()
+        assert brier(arrays).hex() == brier(records).hex()
+        assert reliability_bins(arrays, 4) == reliability_bins(records, 4)
+        assert per_class_ranking(arrays) == per_class_ranking(records)
+        assert per_class_ranking(arrays, [2, 6]) == per_class_ranking(records, [2, 6])
+
+
+def test_metrics_on_empty_record_arrays_raise_like_empty_records():
+    a = record_arrays(random_records(np.random.default_rng(2), 5))
+    none = RecordArrays(*(column[:0] for column in a))
+    for fn in (calibration.accuracy, ece, brier, reliability_bins, per_class_ranking):
+        with pytest.raises(EmptyInput):
+            fn(none)
+    with pytest.raises(ValueError):
+        ece(a, 0)
 
 
 # --- reliability bins ------------------------------------------------------------

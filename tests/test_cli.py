@@ -113,6 +113,9 @@ def test_bad_bootstrap_setting_exits_2_naming_field(
         ({"rel_range": True}, "rel_range"),
         ({"rel_range": float("nan")}, "rel_range"),
         ({"rel_range": float("inf")}, "rel_range"),
+        ({"steps": 1001}, "steps"),
+        ({"steps": 100000}, "steps"),
+        ({"objective": "best"}, "objective"),
     ],
 )
 def test_bad_sweep_setting_exits_2_naming_field(stream_log, tmp_path, capsys, filecfg, field):
@@ -121,7 +124,122 @@ def test_bad_sweep_setting_exits_2_naming_field(stream_log, tmp_path, capsys, fi
     out = tmp_path / "o"
     assert run_cli(["sweep", "--log", stream_log, "--config", str(cfg), "--out", str(out)]) == 2
     assert field in capsys.readouterr().err
+    # rejected before the output directory is made
+    assert not out.exists()
+
+
+def test_bad_sweep_setting_is_rejected_before_the_log_is_read(tmp_path, capsys):
+    missing_log = str(tmp_path / "absent.log")
+    assert run_cli(["sweep", "--log", missing_log, "--steps", "1001", "--out", str(tmp_path / "o")]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, filecfg) -> str:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(filecfg))
+    return str(cfg)
+
+
+def _argv(subcommand, log, out):
+    if subcommand == "simulate":
+        return [subcommand, "--seed", "3", "--n-per-class", "5", "--subjects", "3", "--out", out]
+    if subcommand == "loso-eval":
+        return [subcommand, "--log", log, "--seed", "3", "--resamples", "0", "--out", out]
+    return [subcommand, "--log", log, "--out", out]
+
+
+@pytest.mark.parametrize(
+    "subcommand,filecfg,key",
+    [
+        ("guard", {"guard": "false"}, "guard"),
+        ("loso-eval", {"guard": "false"}, "guard"),
+        ("loso-eval", {"guard": 0}, "guard"),
+        ("loso-eval", {"guard_absolute": "true"}, "guard_absolute"),
+        ("simulate", {"uplift": "false"}, "uplift"),
+        ("simulate", {"hallucination": 1}, "hallucination"),
+        ("gate", {"adaptive": "true"}, "adaptive"),
+        ("gate", {"adaptive": None}, "adaptive"),
+        ("gate", {"adaptive_gate": "true"}, "adaptive_gate"),
+    ],
+)
+def test_non_bool_switch_exits_2_naming_key(stream_log, tmp_path, capsys, subcommand, filecfg, key):
+    out = tmp_path / "o"
+    argv = _argv(subcommand, stream_log, str(out)) + ["--config", _write_config(tmp_path, filecfg)]
+    assert run_cli(argv) == 2
+    assert f"{key} must be true or false" in capsys.readouterr().err
     assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("guard_enabled",),
+        ("guard_relative",),
+        ("scenario", "sr_effect", "uplift_enabled"),
+        ("scenario", "sr_effect", "hallucination_enabled"),
+    ],
+)
+def test_non_bool_switch_in_full_config_exits_2_naming_key(stream_log, tmp_path, capsys, path):
+    echo = tmp_path / "echo"
+    assert run_cli(_argv("loso-eval", stream_log, str(echo))) == 0
+    full = json.loads((echo / "effective_config.json").read_text())
+    node = full
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "false"
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, full)]
+    assert run_cli(argv) == 2
+    assert f"{path[-1]} must be true or false" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "filecfg,key",
+    [
+        ({"tau_low": "0.5"}, "tau_low"),
+        ({"tau_high": True}, "tau_high"),
+        ({"lambda": "0.3"}, "lambda"),
+        ({"w_crit": [2.5]}, "w_crit"),
+        ({"blur_ref": "0.05"}, "blur_ref"),
+        ({"guard_threshold": None}, "guard_threshold"),
+        # a config holding "thresholds" is read as a whole config
+        ({"thresholds": {"tau_low": 0.5, "tau_high": 0.9, "critical_cut": 0.7}}, "adaptive"),
+    ],
+)
+def test_bad_config_shape_exits_2_naming_key(stream_log, tmp_path, capsys, filecfg, key):
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, filecfg)]
+    assert run_cli(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--adaptive", "--no-adaptive"])
+def test_gate_echo_fed_back_reproduces_the_run(stream_log, tmp_path, flag):
+    first = tmp_path / "first"
+    assert run_cli(["gate", "--log", stream_log, flag, "--out", str(first)]) == 0
+    echo = first / "effective_config.json"
+    assert json.loads(echo.read_text())["adaptive_gate"] is (flag == "--adaptive")
+    again = tmp_path / "again"
+    assert run_cli(["gate", "--log", stream_log, "--config", str(echo), "--out", str(again)]) == 0
+    assert (again / "decisions.csv").read_bytes() == (first / "decisions.csv").read_bytes()
+    assert (again / "effective_config.json").read_bytes() == echo.read_bytes()
+    # the two policies do write different decisions on this log
+    utilities = {r["utility_4x"] for r in _read_csv(first / "decisions.csv")}
+    assert (utilities == {"0.0"}) is (flag == "--no-adaptive")
+
+
+def test_gate_reads_a_whole_config_without_its_switch_as_fixed_policy(stream_log, tmp_path):
+    echo = tmp_path / "echo"
+    assert run_cli(_argv("loso-eval", stream_log, str(echo))) == 0
+    out = tmp_path / "o"
+    argv = _argv("gate", stream_log, str(out)) + ["--config", str(echo / "effective_config.json")]
+    assert run_cli(argv) == 0
+    assert json.loads((out / "effective_config.json").read_text())["adaptive_gate"] is False
+    fixed = tmp_path / "fixed"
+    assert run_cli(_argv("gate", stream_log, str(fixed))) == 0
+    assert (out / "decisions.csv").read_bytes() == (fixed / "decisions.csv").read_bytes()
 
 
 def test_gate_writes_decision_csv(stream_log, tmp_path):

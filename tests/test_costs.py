@@ -25,6 +25,19 @@ def test_default_profile_uses_measured_endpoint_costs():
     assert C.none.gflops < C.x2.gflops < C.x4.gflops
 
 
+def test_accumulate_cost_counts_a_level_array_like_a_level_list():
+    levels = [SRLevel.X4, SRLevel.NONE, SRLevel.X2, SRLevel.X4, SRLevel.NONE, SRLevel.X4]
+    want = accumulate_cost(levels, C)
+    got = accumulate_cost(np.array(levels, dtype=np.int64), C)
+    assert got == want
+    assert got.histogram == (2, 1, 3)
+    assert all(type(v) is int for v in got.histogram)
+    with pytest.raises(EmptyInput):
+        accumulate_cost(np.array([], dtype=np.int64), C)
+    with pytest.raises(ValueError):
+        accumulate_cost(np.array([0, 3]), C)
+
+
 def test_utility_cost_normalization():
     assert C.utility_cost(SRLevel.NONE) == 0.0
     assert C.utility_cost(SRLevel.X4) == 1.0

@@ -11,9 +11,11 @@ from helpers import make_record, random_records
 from srgate.costs import CostProfile
 from srgate.errors import EmptyInput
 from srgate.gating import (
+    MAX_SWEEP_STEPS,
     AdaptiveTauConfig,
     Thresholds,
     adaptive_tau,
+    check_sweep_settings,
     delta_acc_estimate,
     expected_utility,
     gate,
@@ -21,9 +23,10 @@ from srgate.gating import (
     normalize_blur,
     optimize_thresholds,
     sensitivity_sweep,
+    utilities_by_level,
     utility_matrix,
 )
-from srgate.records import GateReason, SRLevel, UtilityParams
+from srgate.records import NUM_CLASSES, GateReason, SRLevel, UtilityParams
 
 T = Thresholds()
 U = UtilityParams()
@@ -150,6 +153,51 @@ def test_gate_adaptive_none_utility_is_zero():
     for r in random_records(rng, 50):
         d = gate_adaptive(r, T, cfg, U, C)
         assert d.utility_by_level[0] == 0.0
+
+
+def _odd_gains():
+    # gains that share no digits with the defaults, per class and level
+    table = {}
+    for cid in range(NUM_CLASSES):
+        table[(cid, SRLevel.NONE)] = 0.0
+        table[(cid, SRLevel.X2)] = 0.037 * (cid + 1) + 1e-3 / 3
+        table[(cid, SRLevel.X4)] = 0.061 * (cid + 2) / 7
+    return table
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        U,
+        UtilityParams(lam=0.173, w_crit=3.7, w_normal=1.3, delta_acc_table=_odd_gains()),
+        UtilityParams(lam=0.0, w_crit=1.0, delta_acc_table=_odd_gains()),
+    ],
+)
+@pytest.mark.parametrize(
+    "costs", [C, CostProfile(utility_dimension="latency_ms"), CostProfile(utility_dimension="power_w")]
+)
+def test_utilities_by_level_bit_identical_to_expected_utility(params, costs):
+    for class_id in range(NUM_CLASSES):
+        for c in (0, 1):
+            for p in (0.0, 1 / 7, 0.5, 1.0):
+                want = tuple(
+                    expected_utility(
+                        delta_acc_estimate(params, class_id, level, p),
+                        params.weight(c),
+                        costs.utility_cost(level),
+                        params.lam,
+                    )
+                    for level in SRLevel
+                )
+                got = utilities_by_level(class_id, p, c, params, costs)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_gain_table_rows_follow_class_ids():
+    params = UtilityParams(delta_acc_table=_odd_gains())
+    assert params.gain_table == tuple(
+        tuple(params.gain(k, level) for level in SRLevel) for k in range(NUM_CLASSES)
+    )
 
 
 # --- threshold optimization -----------------------------------------------------------
@@ -310,3 +358,9 @@ def test_sweep_validates_inputs():
         sensitivity_sweep([], T, U, C)
     with pytest.raises(ValueError):
         sensitivity_sweep([make_record()], T, U, C, rel_range=0.25, steps=1)
+    with pytest.raises(ValueError, match="steps"):
+        sensitivity_sweep([make_record()], T, U, C, rel_range=0.25, steps=MAX_SWEEP_STEPS + 1)
+    with pytest.raises(ValueError, match="objective"):
+        sensitivity_sweep([make_record()], T, U, C, objective="best")
+    # the largest sweep allowed is accepted without evaluating anything
+    check_sweep_settings(0.25, MAX_SWEEP_STEPS, "outcome")

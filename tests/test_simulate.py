@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from helpers import random_records
+from srgate import calibration
 from srgate.config import (
     CONF_FLOOR,
     BehaviorConfidenceModel,
@@ -23,7 +24,8 @@ from srgate.errors import (
     SchemaMismatch,
     TooFewSubjects,
 )
-from srgate.records import CLASSES, NUM_CLASSES, validate_record
+from srgate.costs import accumulate_cost
+from srgate.records import CLASSES, NUM_CLASSES, SRLevel, validate_record
 from srgate.simulate import (
     count_critical_fp,
     evaluate_records,
@@ -33,6 +35,7 @@ from srgate.simulate import (
     report_from_dict,
     report_to_dict,
     run_experiment,
+    run_experiment_with_outcomes,
     sample_stream,
     write_report,
 )
@@ -229,6 +232,64 @@ def test_synthetic_effects_disabled_uses_recorded_artifact_scores():
     for r, o in zip(recs, plain):
         assert o.final.predicted_class == r.predicted_class
         assert o.final.confidence == r.confidence
+
+
+def _critical_fp_by_loop(outcomes, cut):
+    # the record-level definition, one outcome at a time
+    return sum(
+        1
+        for o in outcomes
+        if not CLASSES[o.final.true_class].critical
+        and CLASSES[o.final.predicted_class].critical
+        and o.final.confidence > cut
+    )
+
+
+def _log_driven(recs, cfg):
+    # recorded artifact scores, a third of them above the guard threshold
+    effect = SrEffectConfig(uplift_enabled=False, hallucination_enabled=False)
+    cfg = cfg.with_overrides(scenario=ScenarioConfig(cfg.scenario.model, effect))
+    scores = np.random.default_rng(8).uniform(0.0, 0.75, len(recs))
+    return [replace(r, artifact_score=float(a)) for r, a in zip(recs, scores)], cfg
+
+
+@pytest.mark.parametrize("scenario", ["synthetic", "log_driven"])
+def test_array_scoring_matches_record_level_definitions(scenario):
+    recs = small_stream(n_per_class=30, subjects=4, seed=17)
+    cfg = FAST.with_overrides(critical_fp_conf_cut=0.4)
+    if scenario == "log_driven":
+        recs, cfg = _log_driven(recs, cfg)
+    report, outcomes = run_experiment_with_outcomes(recs, "gate_adaptive", cfg, seed=9)
+
+    cut = cfg.critical_fp_conf_cut
+    levels = [o.level for o in outcomes]
+    assert report.cost == accumulate_cost(levels, cfg.costs)
+    n_sr = sum(1 for lvl in levels if lvl != SRLevel.NONE)
+    n_triggered = sum(1 for o in outcomes if o.triggered)
+    assert 0 < n_triggered < n_sr
+    assert report.guard.n_sr == n_sr
+    assert report.guard.n_triggered == n_triggered
+    assert report.guard.trigger_rate == n_triggered / n_sr
+    assert report.guard.critical_false_positives == _critical_fp_by_loop(outcomes, cut) > 0
+    assert report.guard.critical_false_positives == count_critical_fp(outcomes, cut)
+
+    assert [f.test_subject for f in report.folds] == ["S01", "S02", "S03", "S04"]
+    for fold in report.folds:
+        mine = [o for r, o in zip(recs, outcomes) if r.subject_id == fold.test_subject]
+        finals = [o.final for o in mine]
+        assert fold.n == len(mine)
+        assert fold.accuracy.hex() == calibration.accuracy(finals).hex()
+        assert fold.ece.hex() == calibration.ece(finals, cfg.bins).hex()
+        assert fold.brier.hex() == calibration.brier(finals).hex()
+        fold_cost = accumulate_cost([o.level for o in mine], cfg.costs)
+        assert fold.mean_gflops.hex() == fold_cost.mean_gflops.hex()
+        assert fold.guard_triggers == sum(1 for o in mine if o.triggered)
+        assert fold.critical_false_positives == _critical_fp_by_loop(mine, cut)
+        assert fold.critical_false_positives == count_critical_fp(mine, cut)
+
+
+def test_count_critical_fp_of_no_outcomes_is_zero():
+    assert count_critical_fp([]) == 0
 
 
 # --- report persistence ----------------------------------------------------------------
