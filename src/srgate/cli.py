@@ -173,14 +173,21 @@ def _echo_config(out: str, effective: dict) -> None:
 
 def _cmd_quality(args) -> int:
     out = _outdir(args)
-    ref = quality.load_pgm(args.ssim_ref) if args.ssim_ref else None
+    loaded: dict[str, quality.GrayImage] = {}
+
+    def load(path: str) -> quality.GrayImage:
+        if path not in loaded:
+            loaded[path] = quality.load_pgm(path)
+        return loaded[path]
+
+    ref = load(args.ssim_ref) if args.ssim_ref else None
     header = ["path", "width", "height", "laplacian_variance", "mean_intensity"]
     if ref is not None:
         header.append("ssim_vs_ref")
     rows = []
     images = []
     for path in args.images:
-        img = quality.load_pgm(path)
+        img = load(path)
         images.append(img)
         row = [
             path,

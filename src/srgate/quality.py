@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,11 @@ SSIM_C2 = (0.03 * 1.0) ** 2
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Immutable grayscale raster with pixel values in [0,1]."""
+    """Immutable grayscale raster with pixel values in [0,1].
+
+    Its mean and population variance are computed on first use and cached,
+    since the pixels cannot change.
+    """
 
     width: int
     height: int
@@ -41,7 +46,8 @@ class GrayImage:
         if self.width <= 0 or self.height <= 0:
             raise DimensionOverflow(f"bad dimensions {self.width}x{self.height}")
         arr = np.asarray(self.pixels, dtype=np.float64).reshape(self.height, self.width)
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("pixel values must lie in [0,1]")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -56,6 +62,16 @@ class GrayImage:
 
     def same_shape(self, other: "GrayImage") -> bool:
         return self.width == other.width and self.height == other.height
+
+    @cached_property
+    def mean(self) -> float:
+        """Arithmetic mean of all pixels."""
+        return float(np.mean(self.pixels.ravel()))
+
+    @cached_property
+    def var(self) -> float:
+        """Population variance."""
+        return float(np.mean((self.pixels.ravel() - self.mean) ** 2))
 
 
 @dataclass(frozen=True)
@@ -105,8 +121,37 @@ def _pgm_tokens(data: bytes):
         pos = m.end()
 
 
+# The bytes a P2 raster may hold: ASCII digits and the six ASCII whitespace
+# bytes (space, \t, \n, \v, \f, \r). Every one of them but the digits is <= 0x20.
+_P2_RASTER_BYTES = np.zeros(256, dtype=bool)
+_P2_RASTER_BYTES[list(b"0123456789 \t\n\v\f\r")] = True
+
+
+def _p2_samples(path: str, body: bytes, n: int) -> np.ndarray:
+    """The first ``n`` samples of the P2 raster ``body``, as int64."""
+    view = np.frombuffer(body, dtype=np.uint8)
+    if not _P2_RASTER_BYTES[view].all():
+        raise UnsupportedFormat(f"{path}: non-numeric sample data")
+    digit = view > 0x20
+    # one sample per run of digits; body starts with the whitespace that ends
+    # the maxval token, so every run starts where a digit follows a non-digit
+    count = int(np.count_nonzero(digit[1:] > digit[:-1]))
+    # fromstring must not be asked for more samples than there are: it would
+    # pad with uninitialised values (and read a blank body as [0]) silently
+    if count < n:
+        raise TruncatedFile(f"{path}: {count} samples, expected {n}")
+    # a token too long for int64 saturates, and so fails the maxval check
+    return np.fromstring(body, dtype=np.int64, sep=" ", count=n)
+
+
 def load_pgm(path: str) -> GrayImage:
-    """Load a P2 (ASCII) or P5 (binary) PGM, normalizing pixels by maxval."""
+    """Load a P2 (ASCII) or P5 (binary) PGM, normalizing pixels by maxval.
+
+    ``#`` comments may appear between header tokens only. A P2 raster is
+    decimal non-negative integers separated by ASCII whitespace and nothing
+    else: no signs, decimal points or comments. Samples after the
+    ``width * height``-th are ignored.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -138,13 +183,7 @@ def load_pgm(path: str) -> GrayImage:
 
     n = width * height
     if magic == b"P2":
-        raw = data[header_end:].split()
-        if len(raw) < n:
-            raise TruncatedFile(f"{path}: {len(raw)} samples, expected {n}")
-        try:
-            values = np.array(raw[:n], dtype=np.float64)
-        except ValueError:
-            raise UnsupportedFormat(f"{path}: non-numeric sample data") from None
+        values = _p2_samples(path, data[header_end:], n)
     else:
         # single whitespace byte separates maxval from raw samples
         body = data[header_end + 1 :]
@@ -156,7 +195,7 @@ def load_pgm(path: str) -> GrayImage:
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
         values = np.frombuffer(body[: n * itemsize], dtype=dtype).astype(np.float64)
 
-    if values.max(initial=0.0) > maxval:
+    if values.max(initial=0) > maxval:
         raise UnsupportedFormat(f"{path}: sample exceeds maxval {maxval}")
     return GrayImage.from_flat(width, height, values / maxval)
 
@@ -176,7 +215,7 @@ def laplacian_variance(img: GrayImage) -> float:
 
 def mean_intensity(img: GrayImage) -> float:
     """Arithmetic mean of all pixels (lighting proxy in [0,1])."""
-    return float(np.mean(img.pixels))
+    return img.mean
 
 
 def ssim(a: GrayImage, b: GrayImage) -> float:
@@ -184,19 +223,18 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
 
     Uses population (co)variances over the full frame with the standard
     stabilizers C1=(0.01)^2, C2=(0.03)^2 on a unit dynamic range. Symmetric
-    in its arguments and exactly 1.0 when a == b.
+    in its arguments and exactly 1.0 when a == b. Each image's mean and
+    variance are cached on the immutable :class:`GrayImage`, so a frame
+    shared by several pairs pays for them once; a pair computes only its
+    covariance.
     """
     if not a.same_shape(b):
         raise DimensionMismatch(
             f"{a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    pa = a.pixels.ravel()
-    pb = b.pixels.ravel()
-    mu_a = float(np.mean(pa))
-    mu_b = float(np.mean(pb))
-    var_a = float(np.mean((pa - mu_a) ** 2))
-    var_b = float(np.mean((pb - mu_b) ** 2))
-    cov = float(np.mean((pa - mu_a) * (pb - mu_b)))
+    mu_a, mu_b = a.mean, b.mean
+    var_a, var_b = a.var, b.var
+    cov = float(np.mean((a.pixels.ravel() - mu_a) * (b.pixels.ravel() - mu_b)))
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
     den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
     return num / den

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from helpers import make_record
+from srgate import quality
 from srgate.cli import run_cli
 from srgate.config import ExperimentConfig
 from srgate.records import record_to_obj, write_log
@@ -353,6 +354,40 @@ def test_quality_subcommand(tmp_path):
     assert float(rows[1]["laplacian_variance"]) == 0.0
     temporal = _read_csv(out / "temporal.csv")
     assert len(temporal) == 1
+
+
+@pytest.mark.parametrize("sample", ["nan", "1.5", "1e2", "-1"])
+def test_quality_rejects_non_integer_p2_sample_naming_the_file(tmp_path, capsys, sample):
+    path = tmp_path / "a.pgm"
+    path.write_text("P2\n3 3\n255\n0 0 0 0 " + sample + " 0 0 0 0\n")
+    assert run_cli(["quality", str(path), "--out", str(tmp_path / "q")]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: non-numeric sample data" in err
+
+
+def test_quality_loads_each_distinct_path_once(tmp_path, monkeypatch):
+    a = tmp_path / "a.pgm"
+    a.write_text("P2\n3 3\n255\n" + " ".join(["10"] * 9) + "\n")
+    b = tmp_path / "b.pgm"
+    b.write_text("P2\n3 3\n255\n" + " ".join(["20"] * 9) + "\n")
+    calls = []
+    load = quality.load_pgm
+    monkeypatch.setattr(quality, "load_pgm", lambda path: calls.append(path) or load(path))
+    argv = ["quality", str(a), str(b), str(a), "--ssim-ref", str(a), "--clip"]
+    assert run_cli(argv + ["--out", str(tmp_path / "q")]) == 0
+    assert calls == [str(a), str(b)]
+    rows = _read_csv(tmp_path / "q" / "quality.csv")
+    assert [r["path"] for r in rows] == [str(a), str(b), str(a)]
+    assert [float(r["ssim_vs_ref"]) for r in rows][::2] == [1.0, 1.0]
+
+
+def test_quality_reports_a_bad_ssim_ref_before_a_bad_image(tmp_path, capsys):
+    ref = tmp_path / "ref.pgm"
+    ref.write_text("P2\n3 3\n255\n1 2\n")
+    img = tmp_path / "img.pgm"
+    img.write_text("P7\n")
+    assert run_cli(["quality", str(img), "--ssim-ref", str(ref), "--out", str(tmp_path / "q")]) == 3
+    assert f"{ref}: 2 samples, expected 9" in capsys.readouterr().err
 
 
 def test_simulate_config_echo_reproduces(tmp_path):

@@ -18,6 +18,8 @@ from srgate.errors import (
     UnsupportedFormat,
 )
 from srgate.quality import (
+    SSIM_C1,
+    SSIM_C2,
     Clip,
     GrayImage,
     laplacian_variance,
@@ -108,6 +110,109 @@ def test_load_rejects_sample_above_maxval(tmp_path):
     path.write_text("P2\n1 1\n100\n101\n")
     with pytest.raises(UnsupportedFormat):
         load_pgm(str(path))
+
+
+
+P2_HEADER = b"P2\n2 2\n255"
+
+
+@pytest.mark.parametrize(
+    "raster,cls,reason",
+    [
+        (b"", TruncatedFile, "0 samples, expected 4"),
+        (b"\n", TruncatedFile, "0 samples, expected 4"),
+        (b" \t\n\x0b\x0c\r \n", TruncatedFile, "0 samples, expected 4"),
+        (b"\n1 2 3\n", TruncatedFile, "3 samples, expected 4"),
+        (b"\n1 2 3 256\n", UnsupportedFormat, "sample exceeds maxval 255"),
+        (b"\n1 2\n# comment\n3 4\n", UnsupportedFormat, "non-numeric sample data"),
+        (b"\n1 2 3 " + b"9" * 25 + b"\n", UnsupportedFormat, "sample exceeds maxval 255"),
+        (b"\n1 2 3 4 junk\n", UnsupportedFormat, "non-numeric sample data"),
+        (b"\n1 -2 3 4\n", UnsupportedFormat, "non-numeric sample data"),
+        (b"\n1 +2 3 4\n", UnsupportedFormat, "non-numeric sample data"),
+        (b"\n1 2 3\xa04\n", UnsupportedFormat, "non-numeric sample data"),
+    ],
+    ids=[
+        "header-only", "empty", "whitespace-only", "one-short", "above-maxval", "comment",
+        "25-digit-token", "junk-after-last-sample", "minus-sign", "plus-sign",
+        "non-ascii-space",
+    ],
+)
+def test_load_p2_raster_errors(tmp_path, raster, cls, reason):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(P2_HEADER + raster)
+    with pytest.raises(cls) as info:
+        load_pgm(str(path))
+    assert str(info.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "raster,want",
+    [
+        (b"\n0000255 0 0255 00\n", [1.0, 0.0, 1.0, 0.0]),
+        (b"\n\n  51\t102\x0b153\x0c\r204", [0.2, 0.4, 0.6, 0.8]),
+        (b"\n0 255 0 255 7 8 9\n", [0.0, 1.0, 0.0, 1.0]),
+    ],
+    ids=["leading-zeros", "mixed-whitespace-no-newline-at-end", "extra-samples-ignored"],
+)
+def test_load_p2_raster_accepted(tmp_path, raster, want):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(P2_HEADER + raster)
+    assert load_pgm(str(path)).pixels.ravel().tolist() == want
+
+
+@pytest.mark.parametrize(
+    "header,raster,cls,reason",
+    [
+        (b"P5\n2 2\n255\n", b"", TruncatedFile, "0 data bytes, expected 4"),
+        (b"P5\n2 2\n255\n", b" \t\n", TruncatedFile, "3 data bytes, expected 4"),
+        (b"P5\n2 2\n255\n", bytes([1, 2, 3]), TruncatedFile, "3 data bytes, expected 4"),
+        (b"P5\n2 2\n65535\n", struct.pack(">3H", 1, 2, 3), TruncatedFile,
+         "6 data bytes, expected 8"),
+        (b"P5\n2 2\n100\n", bytes([1, 2, 3, 101]), UnsupportedFormat,
+         "sample exceeds maxval 100"),
+        (b"P5\n2 2\n1000\n", struct.pack(">4H", 1, 2, 3, 1001), UnsupportedFormat,
+         "sample exceeds maxval 1000"),
+    ],
+    ids=[
+        "empty", "whitespace-only-short", "one-short", "one-short-16bit",
+        "above-maxval", "above-maxval-16bit",
+    ],
+)
+def test_load_p5_raster_errors(tmp_path, header, raster, cls, reason):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(header + raster)
+    with pytest.raises(cls) as info:
+        load_pgm(str(path))
+    assert str(info.value) == f"{path}: {reason}"
+
+
+def test_load_p5_reads_whitespace_bytes_as_samples_and_ignores_extra(tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n" + b" \t\n\r" + b"extra")
+    assert load_pgm(str(path)).pixels.ravel().tolist() == [
+        32 / 255, 9 / 255, 10 / 255, 13 / 255
+    ]
+
+
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_p2_with_mixed_whitespace_loads_equal_to_p5(tmp_path, maxval):
+    rng = np.random.default_rng(maxval)
+    whitespace = [b" ", b"\t", b"\n", b"\x0b", b"\x0c", b"\r", b"  \n", b"\r\n"]
+    for trial in range(5):
+        h, w = rng.integers(1, 12, size=2)
+        dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+        raster = rng.integers(0, maxval, size=(h, w), endpoint=True).astype(dtype)
+        seps = rng.integers(0, len(whitespace), size=raster.size + 1)
+        body = b"".join(
+            whitespace[k] + str(v).encode() for k, v in zip(seps, raster.ravel().tolist())
+        )
+        p2 = tmp_path / f"{trial}.p2.pgm"
+        p2.write_bytes(b"P2\n%d %d\n%d" % (w, h, maxval) + body + whitespace[seps[-1]])
+        p5 = tmp_path / f"{trial}.p5.pgm"
+        p5.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + raster.tobytes())
+        a, b = load_pgm(str(p2)), load_pgm(str(p5))
+        assert (a.width, a.height) == (b.width, b.height) == (w, h)
+        assert np.array_equal(a.pixels, b.pixels)
 
 
 # --- Laplacian variance -------------------------------------------------------
@@ -208,6 +313,26 @@ def test_ssim_symmetry_exact(seed):
     assert ssim(a, b) == ssim(b, a)
 
 
+def test_ssim_and_mean_match_uncached_statistics_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        a = random_image(rng, 7, 9)
+        b = random_image(rng, 7, 9)
+        pa, pb = a.pixels.ravel(), b.pixels.ravel()
+        mu_a, mu_b = float(np.mean(pa)), float(np.mean(pb))
+        var_a = float(np.mean((pa - mu_a) ** 2))
+        var_b = float(np.mean((pb - mu_b) ** 2))
+        cov = float(np.mean((pa - mu_a) * (pb - mu_b)))
+        want = ((2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)) / (
+            (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+        )
+        assert ssim(a, b).hex() == want.hex()
+        # again, now that both images hold their statistics
+        assert ssim(a, b).hex() == want.hex()
+        assert (a.mean, a.var) == (mu_a, var_a)
+        assert mean_intensity(a) == float(np.mean(a.pixels))
+
+
 def test_ssim_range_and_dimension_mismatch():
     rng = np.random.default_rng(9)
     a = random_image(rng, 4, 4)
@@ -256,3 +381,11 @@ def test_clip_rejects_mixed_dimensions_and_empty():
 def test_gray_image_rejects_out_of_range_pixels():
     with pytest.raises(ValueError):
         img_from([[0.0, 1.5], [0.2, 0.3]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gray_image_rejects_non_finite_pixels(bad):
+    with pytest.raises(ValueError, match=r"pixel values must lie in \[0,1\]"):
+        GrayImage.from_flat(3, 3, [bad] * 9)
+    with pytest.raises(ValueError, match=r"pixel values must lie in \[0,1\]"):
+        GrayImage.from_flat(3, 3, [0.5] * 4 + [bad] + [0.5] * 4)
