@@ -20,7 +20,7 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import CLASSES, PredictionRecord, RecordArrays, record_arrays
+from .records import PredictionRecord, RecordArrays, record_arrays
 
 Records = Sequence[PredictionRecord] | RecordArrays
 
@@ -392,7 +392,3 @@ def calibration_report(
         n=len(records),
         ci=ci,
     )
-
-
-def class_name(class_id: int) -> str:
-    return CLASSES[class_id].name

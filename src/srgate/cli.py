@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import numbers
 import os
 import sys
 from dataclasses import replace
@@ -27,7 +26,7 @@ from . import calibration as cal
 from . import config as cfgmod
 from . import costs as costmod
 from . import errors as err
-from . import gating, guard, quality, records, simulate
+from . import gating, guard, quality, records, schema, simulate
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -82,29 +81,39 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _pick(args: argparse.Namespace, filecfg: dict, key: str, default):
-    """Flag > config file > default. Flag defaults are None sentinels."""
+def _pick(args: argparse.Namespace, filecfg: dict, key: str, default, kind):
+    """Flag > config file > default. Flag defaults are None sentinels. A flag
+    or file value must pass the JSON rule of `kind` (see `schema`), so "false"
+    is not read as on nor 4.7 as 4; the ValueError names `key`."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in filecfg:
-        return filecfg[key]
-    return default
+    if value is None:
+        if key not in filecfg:
+            return default
+        value = filecfg[key]
+    return schema.decode(kind, value, key)
 
 
-def _pick_number(args: argparse.Namespace, filecfg: dict, key: str, default):
-    """``_pick`` for a numeric setting; a string or bool exits 2 naming `key`."""
-    value = _pick(args, filecfg, key, default)
-    # bool is an int subclass
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return value
-
-
-def _pick_bool(args: argparse.Namespace, filecfg: dict, key: str, default) -> bool:
-    """``_pick`` for an on/off setting; only JSON true or false is accepted,
-    since a string such as "false" would otherwise read as on."""
-    return cfgmod.require_bool(_pick(args, filecfg, key, default), key)
+# Each flat config key, and the flag of that name, sets one field of a whole
+# config: (its key path there, its JSON type).
+_FLAT_KEYS = {
+    "tau_low": (("thresholds", "tau_low"), float),
+    "tau_high": (("thresholds", "tau_high"), float),
+    "critical_cut": (("thresholds", "critical_cut"), float),
+    "tau_base": (("adaptive", "tau_base"), float),
+    "alpha_blur": (("adaptive", "alpha_blur"), float),
+    "alpha_light": (("adaptive", "alpha_light"), float),
+    "blur_ref": (("adaptive", "blur_ref"), float),
+    "lambda": (("utility", "lambda"), float),
+    "w_crit": (("utility", "w_crit"), float),
+    "uplift": (("scenario", "sr_effect", "uplift_enabled"), bool),
+    "hallucination": (("scenario", "sr_effect", "hallucination_enabled"), bool),
+    "guard": (("guard_enabled",), bool),
+    "guard_threshold": (("guard_threshold",), float),
+    "guard_discount": (("guard_discount",), float),
+    "bins": (("bins",), int),
+    "resamples": (("resamples",), int),
+    "ci_level": (("ci_level",), float),
+}
 
 
 def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
@@ -113,50 +122,15 @@ def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
         config = cfgmod.experiment_from_dict(filecfg)
     else:
         config = cfgmod.ExperimentConfig()
-
-    t = config.thresholds
-    t = gating.Thresholds(
-        tau_low=_pick_number(args, filecfg, "tau_low", t.tau_low),
-        tau_high=_pick_number(args, filecfg, "tau_high", t.tau_high),
-        critical_cut=_pick_number(args, filecfg, "critical_cut", t.critical_cut),
-    )
-    a = config.adaptive
-    a = replace(
-        a,
-        tau_base=_pick_number(args, filecfg, "tau_base", a.tau_base),
-        alpha_blur=_pick_number(args, filecfg, "alpha_blur", a.alpha_blur),
-        alpha_light=_pick_number(args, filecfg, "alpha_light", a.alpha_light),
-        blur_ref=_pick_number(args, filecfg, "blur_ref", a.blur_ref),
-    )
-    u = config.utility
-    u = replace(
-        u,
-        lam=_pick_number(args, filecfg, "lambda", u.lam),
-        w_crit=_pick_number(args, filecfg, "w_crit", u.w_crit),
-    )
-    effect = config.scenario.sr_effect
-    effect = replace(
-        effect,
-        uplift_enabled=_pick_bool(args, filecfg, "uplift", effect.uplift_enabled),
-        hallucination_enabled=_pick_bool(
-            args, filecfg, "hallucination", effect.hallucination_enabled
-        ),
-    )
-    return config.with_overrides(
-        thresholds=t,
-        adaptive=a,
-        utility=u,
-        scenario=replace(config.scenario, sr_effect=effect),
-        guard_enabled=_pick_bool(args, filecfg, "guard", config.guard_enabled),
-        guard_threshold=_pick_number(args, filecfg, "guard_threshold", config.guard_threshold),
-        guard_discount=_pick_number(args, filecfg, "guard_discount", config.guard_discount),
-        guard_relative=not _pick_bool(
-            args, filecfg, "guard_absolute", not config.guard_relative
-        ),
-        bins=_pick(args, filecfg, "bins", config.bins),
-        resamples=_pick(args, filecfg, "resamples", config.resamples),
-        ci_level=_pick(args, filecfg, "ci_level", config.ci_level),
-    )
+    whole = cfgmod.experiment_to_dict(config)
+    for key, ((*sections, name), kind) in _FLAT_KEYS.items():
+        node = whole
+        for section in sections:
+            node = node[section]
+        node[name] = _pick(args, filecfg, key, node[name], kind)
+    absolute = _pick(args, filecfg, "guard_absolute", not whole["guard_relative"], bool)
+    whole["guard_relative"] = not absolute
+    return cfgmod.experiment_from_dict(whole)
 
 
 def _outdir(args) -> str:
@@ -249,11 +223,8 @@ def _gate_adaptive(args, filecfg: dict) -> bool:
     """
     if args.adaptive is not None:
         return args.adaptive
-    if "adaptive_gate" in filecfg:
-        return cfgmod.require_bool(filecfg["adaptive_gate"], "adaptive_gate")
-    if "thresholds" in filecfg:
-        return False
-    return cfgmod.require_bool(filecfg.get("adaptive", False), "adaptive")
+    whole = "adaptive_gate" in filecfg or "thresholds" in filecfg
+    return _pick(args, filecfg, "adaptive_gate" if whole else "adaptive", False, bool)
 
 
 def _cmd_gate(args) -> int:
@@ -293,7 +264,7 @@ def _cmd_gate(args) -> int:
 def _cmd_calibrate(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
-    seed = _pick(args, filecfg, "seed", None)
+    seed = _pick(args, filecfg, "seed", None, int | None)
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
     recs = records.ingest_log(args.log, strict=args.strict)
@@ -307,7 +278,7 @@ def _cmd_calibrate(args) -> int:
         ci_metrics=ci_metrics if config.resamples > 0 else None,
         n_resamples=max(config.resamples, 1),
         level=config.ci_level,
-        seed=int(seed) if seed is not None else 0,
+        seed=seed if seed is not None else 0,
     )
 
     effective = {
@@ -322,7 +293,7 @@ def _cmd_calibrate(args) -> int:
             os.path.join(out, "calibration_report.json"),
             {
                 "schema_version": simulate.SCHEMA_VERSION,
-                "calibration": simulate._calibration_to_dict(report),
+                "calibration": schema.encode(report),
                 "config": effective,
             },
         )
@@ -410,9 +381,9 @@ def _cmd_guard(args) -> int:
 def _cmd_sweep(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
-    rel_range = _pick(args, filecfg, "rel_range", 0.25)
-    steps = _pick(args, filecfg, "steps", 5)
-    objective = _pick(args, filecfg, "objective", "outcome")
+    rel_range = _pick(args, filecfg, "rel_range", 0.25, float)
+    steps = _pick(args, filecfg, "steps", 5, int)
+    objective = _pick(args, filecfg, "objective", "outcome", str)
     # before the ingest and the output directory, so a bad setting costs neither
     gating.check_sweep_settings(rel_range, steps, objective)
     recs = records.ingest_log(args.log, strict=args.strict)
@@ -543,13 +514,12 @@ def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: 
 def _cmd_simulate(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
-    seed = _pick(args, filecfg, "seed", None)
+    seed = _pick(args, filecfg, "seed", None, int | None)
     if seed is None:
         raise ValueError("--seed is required for simulate")
-    seed = int(seed)
-    policy = _pick(args, filecfg, "policy", "gate_adaptive")
-    n_per_class = int(_pick(args, filecfg, "n_per_class", 200))
-    subjects = int(_pick(args, filecfg, "subjects", simulate.PINNED_SUBJECTS))
+    policy = _pick(args, filecfg, "policy", "gate_adaptive", str)
+    n_per_class = _pick(args, filecfg, "n_per_class", 200, int)
+    subjects = _pick(args, filecfg, "subjects", simulate.PINNED_SUBJECTS, int)
     out = _outdir(args)
 
     recs = simulate.sample_stream(config.scenario.model, n_per_class, subjects, seed)
@@ -579,11 +549,10 @@ def _cmd_loso_eval(args) -> int:
         config = config.with_overrides(
             scenario=replace(config.scenario, sr_effect=effect)
         )
-    seed = _pick(args, filecfg, "seed", None)
+    seed = _pick(args, filecfg, "seed", None, int | None)
     if seed is None:
         raise ValueError("--seed is required for loso-eval")
-    seed = int(seed)
-    policy = _pick(args, filecfg, "policy", "gate_adaptive")
+    policy = _pick(args, filecfg, "policy", "gate_adaptive", str)
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
     report, outcomes = simulate.run_experiment_with_outcomes(recs, policy, config, seed)

@@ -1,8 +1,9 @@
 """Scenario and experiment configuration, with dict round-trips.
 
-Every knob of a run lives in one of these dataclasses. `*_to_dict` /
-`*_from_dict` convert losslessly so a run's effective-config echo can be
-fed back in to reproduce it byte-for-byte.
+Every knob of a run lives in one of these dataclasses. `experiment_to_dict`
+and `experiment_from_dict` convert them losslessly through the `schema`
+codec, so a run's effective-config echo can be fed back in to reproduce it
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
-from .costs import CostProfile, LevelCost
+from . import schema
+from .costs import CostProfile
 from .errors import InvalidModelParams
 from .gating import AdaptiveTauConfig, Thresholds
 from .records import (
@@ -19,7 +21,6 @@ from .records import (
     NUM_CLASSES,
     SRLevel,
     UtilityParams,
-    class_by_name,
     default_delta_acc_table,
 )
 
@@ -46,11 +47,12 @@ class TruncatedNormalSpec:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Two-component mixture of truncated normals (bimodal confidence)."""
+    """Two-component mixture (bimodal confidence); a component may itself
+    be a mixture."""
 
     weight_first: float
-    first: TruncatedNormalSpec
-    second: TruncatedNormalSpec
+    first: Distribution
+    second: Distribution
 
     def __post_init__(self):
         if not 0.0 <= self.weight_first <= 1.0:
@@ -85,7 +87,9 @@ class BehaviorConfidenceModel:
     miscalibration_delta shifts accuracy relative to confidence.
     """
 
-    distributions: tuple[Distribution, ...] = DEFAULT_DISTRIBUTIONS
+    distributions: tuple[Distribution, ...] = field(
+        default=DEFAULT_DISTRIBUTIONS, metadata={"keyed_by": (CLASS_NAMES,)}
+    )
     miscalibration_delta: float = 0.0
 
     def __post_init__(self):
@@ -151,6 +155,10 @@ class SrEffectConfig:
                 raise InvalidModelParams(f"{name} must lie in [0,1]")
         if not self.hallucination_targets:
             raise InvalidModelParams("need at least one hallucination target class")
+        if not all(0 <= t < NUM_CLASSES for t in self.hallucination_targets):
+            raise InvalidModelParams(
+                f"hallucination_targets must be class ids in 0..{NUM_CLASSES - 1}"
+            )
 
     def hallucination_rate(self, level: SRLevel) -> float:
         if not self.hallucination_enabled:
@@ -206,209 +214,12 @@ class ExperimentConfig:
 
 # --- dict round-trips -----------------------------------------------------------
 
-def require_bool(value, key: str) -> bool:
-    """`value` itself if it is a bool; anything else raises ValueError naming
-    `key`, since truthiness would read a string such as "false" as on."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def thresholds_to_dict(t: Thresholds) -> dict:
-    return {"tau_low": t.tau_low, "tau_high": t.tau_high, "critical_cut": t.critical_cut}
-
-
-def thresholds_from_dict(d: Mapping) -> Thresholds:
-    return Thresholds(**d)
-
-
-def adaptive_to_dict(a: AdaptiveTauConfig) -> dict:
-    return {
-        "tau_base": a.tau_base,
-        "alpha_blur": a.alpha_blur,
-        "alpha_light": a.alpha_light,
-        "clamp": list(a.clamp),
-        "blur_ref": a.blur_ref,
-    }
-
-
-def adaptive_from_dict(d: Mapping) -> AdaptiveTauConfig:
-    d = dict(d)
-    d["clamp"] = tuple(d.get("clamp", (0.0, 1.0)))
-    return AdaptiveTauConfig(**d)
-
-
-def utility_to_dict(u: UtilityParams) -> dict:
-    table = {
-        name: {
-            level.label: u.delta_acc_table[(cid, level)] for level in SRLevel
-        }
-        for cid, name in enumerate(CLASS_NAMES)
-    }
-    return {
-        "lambda": u.lam,
-        "w_crit": u.w_crit,
-        "w_normal": u.w_normal,
-        "delta_acc_table": table,
-    }
-
-
-def utility_from_dict(d: Mapping) -> UtilityParams:
-    table = {}
-    for name, by_level in d["delta_acc_table"].items():
-        cid = class_by_name(name).id
-        for level in SRLevel:
-            table[(cid, level)] = float(by_level[level.label])
-    return UtilityParams(
-        lam=float(d["lambda"]),
-        w_crit=float(d["w_crit"]),
-        w_normal=float(d.get("w_normal", 1.0)),
-        delta_acc_table=table,
-    )
-
-
-def costs_to_dict(c: CostProfile) -> dict:
-    def entry(e: LevelCost) -> dict:
-        return {"gflops": e.gflops, "latency_ms": e.latency_ms, "power_w": e.power_w}
-
-    return {
-        "none": entry(c.none),
-        "x2": entry(c.x2),
-        "x4": entry(c.x4),
-        "utility_dimension": c.utility_dimension,
-    }
-
-
-def costs_from_dict(d: Mapping) -> CostProfile:
-    return CostProfile(
-        none=LevelCost(**d["none"]),
-        x2=LevelCost(**d["x2"]),
-        x4=LevelCost(**d["x4"]),
-        utility_dimension=d.get("utility_dimension", "gflops"),
-    )
-
-
-def _distribution_to_dict(dist: Distribution) -> dict:
-    if isinstance(dist, TruncatedNormalSpec):
-        return {"type": "truncated_normal", "mu": dist.mu, "sigma": dist.sigma}
-    return {
-        "type": "mixture",
-        "weight_first": dist.weight_first,
-        "first": _distribution_to_dict(dist.first),
-        "second": _distribution_to_dict(dist.second),
-    }
-
-
-def _distribution_from_dict(d: Mapping) -> Distribution:
-    if d["type"] == "truncated_normal":
-        return TruncatedNormalSpec(mu=float(d["mu"]), sigma=float(d["sigma"]))
-    if d["type"] == "mixture":
-        return MixtureSpec(
-            weight_first=float(d["weight_first"]),
-            first=_distribution_from_dict(d["first"]),
-            second=_distribution_from_dict(d["second"]),
-        )
-    raise InvalidModelParams(f"unknown distribution type {d['type']!r}")
-
-
-def model_to_dict(m: BehaviorConfidenceModel) -> dict:
-    return {
-        "distributions": {
-            name: _distribution_to_dict(m.distributions[cid])
-            for cid, name in enumerate(CLASS_NAMES)
-        },
-        "miscalibration_delta": m.miscalibration_delta,
-    }
-
-
-def model_from_dict(d: Mapping) -> BehaviorConfidenceModel:
-    dists = tuple(
-        _distribution_from_dict(d["distributions"][name]) for name in CLASS_NAMES
-    )
-    return BehaviorConfidenceModel(
-        distributions=dists,
-        miscalibration_delta=float(d.get("miscalibration_delta", 0.0)),
-    )
-
-
-def sr_effect_to_dict(s: SrEffectConfig) -> dict:
-    return {
-        "uplift_enabled": s.uplift_enabled,
-        "uplift_x2": list(s.uplift_x2),
-        "uplift_x4": list(s.uplift_x4),
-        "hallucination_enabled": s.hallucination_enabled,
-        "hallucination_rate_x2": s.hallucination_rate_x2,
-        "hallucination_rate_x4": s.hallucination_rate_x4,
-        "hallucination_targets": list(s.hallucination_targets),
-        "inflation_range": list(s.inflation_range),
-        "clean_score_range": list(s.clean_score_range),
-        "hallucinated_score_range": list(s.hallucinated_score_range),
-    }
-
-
-def sr_effect_from_dict(d: Mapping) -> SrEffectConfig:
-    return SrEffectConfig(
-        uplift_enabled=require_bool(d["uplift_enabled"], "uplift_enabled"),
-        uplift_x2=tuple(float(v) for v in d["uplift_x2"]),
-        uplift_x4=tuple(float(v) for v in d["uplift_x4"]),
-        hallucination_enabled=require_bool(d["hallucination_enabled"], "hallucination_enabled"),
-        hallucination_rate_x2=float(d["hallucination_rate_x2"]),
-        hallucination_rate_x4=float(d["hallucination_rate_x4"]),
-        hallucination_targets=tuple(int(v) for v in d["hallucination_targets"]),
-        inflation_range=tuple(float(v) for v in d["inflation_range"]),
-        clean_score_range=tuple(float(v) for v in d["clean_score_range"]),
-        hallucinated_score_range=tuple(float(v) for v in d["hallucinated_score_range"]),
-    )
-
-
-def scenario_to_dict(s: ScenarioConfig) -> dict:
-    return {"model": model_to_dict(s.model), "sr_effect": sr_effect_to_dict(s.sr_effect)}
-
-
-def scenario_from_dict(d: Mapping) -> ScenarioConfig:
-    return ScenarioConfig(
-        model=model_from_dict(d["model"]),
-        sr_effect=sr_effect_from_dict(d["sr_effect"]),
-    )
-
-
 def experiment_to_dict(c: ExperimentConfig) -> dict:
-    return {
-        "thresholds": thresholds_to_dict(c.thresholds),
-        "adaptive": adaptive_to_dict(c.adaptive),
-        "utility": utility_to_dict(c.utility),
-        "costs": costs_to_dict(c.costs),
-        "scenario": scenario_to_dict(c.scenario),
-        "guard_enabled": c.guard_enabled,
-        "guard_threshold": c.guard_threshold,
-        "guard_discount": c.guard_discount,
-        "guard_relative": c.guard_relative,
-        "bins": c.bins,
-        "resamples": c.resamples,
-        "ci_level": c.ci_level,
-        "critical_fp_conf_cut": c.critical_fp_conf_cut,
-    }
+    return schema.encode(c)
 
 
 def experiment_from_dict(d: Mapping) -> ExperimentConfig:
-    missing = [f.name for f in fields(ExperimentConfig) if f.name not in d]
-    if missing:
-        raise ValueError(
-            f"experiment config lacks keys {missing}; "
-            "an effective_config.json holds them all"
-        )
-    return ExperimentConfig(
-        thresholds=thresholds_from_dict(d["thresholds"]),
-        adaptive=adaptive_from_dict(d["adaptive"]),
-        utility=utility_from_dict(d["utility"]),
-        costs=costs_from_dict(d["costs"]),
-        scenario=scenario_from_dict(d["scenario"]),
-        guard_enabled=require_bool(d["guard_enabled"], "guard_enabled"),
-        guard_threshold=float(d["guard_threshold"]),
-        guard_discount=float(d["guard_discount"]),
-        guard_relative=require_bool(d["guard_relative"], "guard_relative"),
-        bins=d["bins"],
-        resamples=d["resamples"],
-        ci_level=d["ci_level"],
-        critical_fp_conf_cut=float(d["critical_fp_conf_cut"]),
-    )
+    """The ExperimentConfig a whole config spells. Keys other than its
+    fields are a run's flat keys (seed, policy, ...) and are skipped here."""
+    names = [f.name for f in fields(ExperimentConfig)]
+    return schema.decode(ExperimentConfig, {k: d[k] for k in names if k in d}, "")

@@ -97,14 +97,6 @@ class CostSummary:
     def mean_gflops(self) -> float:
         return self.total_gflops / self.n
 
-    @property
-    def mean_latency_ms(self) -> float:
-        return self.total_latency_ms / self.n
-
-    @property
-    def mean_power_w(self) -> float:
-        return self.total_power_w / self.n
-
 
 def _level_of(item: GateDecision | SRLevel) -> SRLevel:
     return item.level if isinstance(item, GateDecision) else SRLevel(item)
@@ -179,15 +171,6 @@ def relative_efficiency(
             "reference efficiency is zero; designate a non-baseline reference"
         )
     return efficiency(m, baseline) / ref_eff
-
-
-def dominates(a: MethodPoint, b: MethodPoint) -> bool:
-    """True if a is at least as good as b on both axes and better on one."""
-    return (
-        a.cost <= b.cost
-        and a.accuracy >= b.accuracy
-        and (a.cost < b.cost or a.accuracy > b.accuracy)
-    )
 
 
 def pareto_frontier(points: Sequence[MethodPoint]) -> list[MethodPoint]:

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import schema
 from .errors import (
     EmptyInput,
     EmptyLog,
@@ -97,13 +98,6 @@ def make_classes(critical: Iterable[str] = DEFAULT_CRITICAL) -> tuple[BehaviorCl
 
 CLASSES = make_classes()
 CRITICAL_IDS = frozenset(c.id for c in CLASSES if c.critical)
-
-
-def class_by_name(name: str, classes: Sequence[BehaviorClass] = CLASSES) -> BehaviorClass:
-    for c in classes:
-        if c.name == name:
-            return c
-    raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -192,27 +186,28 @@ def validate_record(
     return out
 
 
-_REQUIRED_KEYS = (
-    "subject_id",
-    "clip_id",
-    "true_class",
-    "probs",
-    "confidence",
-    "criticality",
-    "blur",
-    "lighting",
-)
 _OPTIONAL_KEYS = ("artifact_score", "perceptual_loss", "ssim_vs_hr")
+
+# The JSON type of each field, by the schema codec's scalar rules: ids are
+# strings, and a real field is a JSON number, never a bool or a string.
+_STRING = (frozenset({str}), "a JSON string")
+_INTEGER = (frozenset({int}), "a JSON integer")
+_NUMBER = (schema.NUMBER_TYPES, "a JSON number")
+_NUMBER_OR_NULL = (schema.NUMBER_TYPES | {type(None)}, "a JSON number or null")
+_FIELD_TYPES = (
+    ("subject_id", *_STRING),
+    ("clip_id", *_STRING),
+    ("true_class", *_INTEGER),
+    ("probs", frozenset({list}), "an array of JSON numbers"),
+    ("confidence", *_NUMBER),
+    ("criticality", *_INTEGER),
+    ("blur", *_NUMBER),
+    ("lighting", *_NUMBER),
+    *((key, *_NUMBER_OR_NULL) for key in _OPTIONAL_KEYS),
+)
+_REQUIRED_KEYS = tuple(key for key, _, _ in _FIELD_TYPES if key not in _OPTIONAL_KEYS)
 _REQUIRED = frozenset(_REQUIRED_KEYS)
 _KNOWN = _REQUIRED | frozenset(_OPTIONAL_KEYS)
-
-
-def _int_field(obj: Mapping, key: str, line_no: int) -> int:
-    value = obj[key]
-    # bool is an int subclass; neither it nor a float may stand in for an id
-    if type(value) is not int:
-        raise MalformedRecord(line_no, f"{key}: expected a JSON integer, got {json.dumps(value)}")
-    return value
 
 
 def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionRecord:
@@ -225,24 +220,34 @@ def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionReco
         if strict:
             raise MalformedRecord(line_no, f"unknown keys: {sorted(unknown)}")
         log.warning("line %d: ignoring unknown keys %s", line_no, sorted(unknown))
+    for key, kinds, want in _FIELD_TYPES:
+        value = obj.get(key)
+        if type(value) not in kinds:
+            raise MalformedRecord(line_no, f"{key}: expected {want}, got {json.dumps(value)}")
+    probs = obj["probs"]
+    if not schema.NUMBER_TYPES.issuperset(map(type, probs)):
+        raise MalformedRecord(
+            line_no, f"probs: expected an array of JSON numbers, got {json.dumps(probs)}"
+        )
     artifact = obj.get("artifact_score")
     loss = obj.get("perceptual_loss")
     ssim = obj.get("ssim_vs_hr")
     try:
         rec = PredictionRecord(
-            subject_id=str(obj["subject_id"]),
-            clip_id=str(obj["clip_id"]),
-            true_class=_int_field(obj, "true_class", line_no),
-            probs=tuple(map(float, obj["probs"])),
+            subject_id=obj["subject_id"],
+            clip_id=obj["clip_id"],
+            true_class=obj["true_class"],
+            probs=tuple(map(float, probs)),
             confidence=float(obj["confidence"]),
-            criticality=_int_field(obj, "criticality", line_no),
+            criticality=obj["criticality"],
             blur=float(obj["blur"]),
             lighting=float(obj["lighting"]),
             artifact_score=None if artifact is None else float(artifact),
             perceptual_loss=None if loss is None else float(loss),
             ssim_vs_hr=None if ssim is None else float(ssim),
         )
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
+        # an integer beyond the float range
         raise MalformedRecord(line_no, f"bad field value: {exc}") from exc
     violations = validate_record(rec)
     if violations:
@@ -379,11 +384,12 @@ class UtilityParams:
     to the expected accuracy improvement of enhancing at that level.
     """
 
-    lam: float = 0.3
+    lam: float = field(default=0.3, metadata={"key": "lambda"})
     w_crit: float = 2.5
     w_normal: float = 1.0
     delta_acc_table: Mapping[tuple[int, SRLevel], float] = field(
-        default_factory=default_delta_acc_table
+        default_factory=default_delta_acc_table,
+        metadata={"keyed_by": (CLASS_NAMES, tuple(level.label for level in SRLevel))},
     )
 
     def __post_init__(self):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import calibration
+from . import calibration, schema
 from .calibration import CalibrationReport, calibration_report
 from .config import (
     CONF_FLOOR,
@@ -26,8 +26,6 @@ from .config import (
     BehaviorConfidenceModel,
     ExperimentConfig,
     MixtureSpec,
-    TruncatedNormalSpec,
-    experiment_from_dict,
     experiment_to_dict,
 )
 from .costs import CostSummary, accumulate_cost
@@ -75,11 +73,9 @@ def _draw_truncated(rng: np.random.Generator, mu: float, sigma: float) -> float:
 
 
 def _draw_confidence(rng: np.random.Generator, dist) -> float:
-    if isinstance(dist, TruncatedNormalSpec):
-        return _draw_truncated(rng, dist.mu, dist.sigma)
-    assert isinstance(dist, MixtureSpec)
-    comp = dist.first if rng.random() < dist.weight_first else dist.second
-    return _draw_truncated(rng, comp.mu, comp.sigma)
+    while isinstance(dist, MixtureSpec):
+        dist = dist.first if rng.random() < dist.weight_first else dist.second
+    return _draw_truncated(rng, dist.mu, dist.sigma)
 
 
 def _build_probs(pred: int, confidence: float) -> tuple[float, ...]:
@@ -462,129 +458,15 @@ def run_experiment_with_outcomes(
 
 # --- persistence ------------------------------------------------------------------------
 
-def _calibration_to_dict(c: CalibrationReport) -> dict:
-    return {
-        "ece": c.ece,
-        "brier": c.brier,
-        "n": c.n,
-        "bins": [
-            {
-                "lo": b.lo,
-                "hi": b.hi,
-                "count": b.count,
-                "mean_conf": b.mean_conf,
-                "accuracy": b.accuracy,
-            }
-            for b in c.bins
-        ],
-        "per_class_auroc": {str(k): v for k, v in c.per_class_auroc.items()},
-        "per_class_aupr": {str(k): v for k, v in c.per_class_aupr.items()},
-        "ci": None
-        if c.ci is None
-        else {name: list(bounds) for name, bounds in c.ci.items()},
-    }
-
-
-def _calibration_from_dict(d: dict) -> CalibrationReport:
-    return CalibrationReport(
-        ece=d["ece"],
-        brier=d["brier"],
-        bins=tuple(
-            calibration.ReliabilityBin(
-                lo=b["lo"],
-                hi=b["hi"],
-                count=b["count"],
-                mean_conf=b["mean_conf"],
-                accuracy=b["accuracy"],
-            )
-            for b in d["bins"]
-        ),
-        per_class_auroc={int(k): v for k, v in d["per_class_auroc"].items()},
-        per_class_aupr={int(k): v for k, v in d["per_class_aupr"].items()},
-        n=d["n"],
-        ci=None if d["ci"] is None else {k: tuple(v) for k, v in d["ci"].items()},
-    )
-
-
 def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "policy": report.policy,
-        "seed": report.seed,
-        "n": report.n,
-        "calibration": _calibration_to_dict(report.calibration),
-        "cost": {
-            "n": report.cost.n,
-            "histogram": list(report.cost.histogram),
-            "total_gflops": report.cost.total_gflops,
-            "total_latency_ms": report.cost.total_latency_ms,
-            "total_power_w": report.cost.total_power_w,
-        },
-        "guard": {
-            "n_sr": report.guard.n_sr,
-            "n_triggered": report.guard.n_triggered,
-            "trigger_rate": report.guard.trigger_rate,
-            "critical_false_positives": report.guard.critical_false_positives,
-            "critical_fp_conf_cut": report.guard.critical_fp_conf_cut,
-            "critical_fp_definition": report.guard.critical_fp_definition,
-        },
-        "folds": [
-            {
-                "test_subject": f.test_subject,
-                "n": f.n,
-                "accuracy": f.accuracy,
-                "ece": f.ece,
-                "brier": f.brier,
-                "mean_gflops": f.mean_gflops,
-                "guard_triggers": f.guard_triggers,
-                "critical_false_positives": f.critical_false_positives,
-            }
-            for f in report.folds
-        ],
-        "config": report.config,
-    }
+    return schema.encode(report)
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
-    version = d.get("schema_version")
+    version = d.get("schema_version") if isinstance(d, dict) else None
     if version != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema version {version!r}, expected {SCHEMA_VERSION}")
-    return ExperimentReport(
-        policy=d["policy"],
-        seed=d["seed"],
-        n=d["n"],
-        calibration=_calibration_from_dict(d["calibration"]),
-        cost=CostSummary(
-            n=d["cost"]["n"],
-            histogram=tuple(d["cost"]["histogram"]),
-            total_gflops=d["cost"]["total_gflops"],
-            total_latency_ms=d["cost"]["total_latency_ms"],
-            total_power_w=d["cost"]["total_power_w"],
-        ),
-        guard=GuardStats(
-            n_sr=d["guard"]["n_sr"],
-            n_triggered=d["guard"]["n_triggered"],
-            trigger_rate=d["guard"]["trigger_rate"],
-            critical_false_positives=d["guard"]["critical_false_positives"],
-            critical_fp_conf_cut=d["guard"]["critical_fp_conf_cut"],
-            critical_fp_definition=d["guard"]["critical_fp_definition"],
-        ),
-        folds=tuple(
-            FoldResult(
-                test_subject=f["test_subject"],
-                n=f["n"],
-                accuracy=f["accuracy"],
-                ece=f["ece"],
-                brier=f["brier"],
-                mean_gflops=f["mean_gflops"],
-                guard_triggers=f["guard_triggers"],
-                critical_false_positives=f["critical_false_positives"],
-            )
-            for f in d["folds"]
-        ),
-        config=d["config"],
-        schema_version=version,
-    )
+    return schema.decode(ExperimentReport, d, "")
 
 
 def render_report(report: ExperimentReport) -> str:
@@ -610,9 +492,3 @@ def read_report(path: str) -> ExperimentReport:
         raise SchemaMismatch(f"{path} is not a JSON report: {exc}") from exc
     return report_from_dict(data)
 
-
-def experiment_config_from_file(path: str) -> tuple[ExperimentConfig, dict]:
-    """Load an effective-config echo (or hand-written config) file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return experiment_from_dict(data), data

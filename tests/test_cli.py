@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import make_record
 from srgate import quality
@@ -52,6 +56,14 @@ def test_malformed_log_exits_3(tmp_path):
         ("criticality", True),
         ("perceptual_loss", float("nan")),
         ("perceptual_loss", float("inf")),
+        ("confidence", "0.9"),
+        ("lighting", True),
+        ("probs", [str(p) for p in record_to_obj(make_record())["probs"]]),
+        ("probs", [True] + [0.0] * 6),
+        ("blur", "1e-3"),
+        ("subject_id", 5),
+        ("clip_id", None),
+        ("artifact_score", "0.2"),
     ],
 )
 def test_bad_log_field_exits_3_naming_field_and_line(tmp_path, capsys, field, value):
@@ -62,6 +74,17 @@ def test_bad_log_field_exits_3_naming_field_and_line(tmp_path, capsys, field, va
     assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "line 2" in err and field in err
+
+
+@pytest.mark.parametrize("field", ["blur", "probs"])
+def test_log_integer_beyond_float_range_exits_3(tmp_path, capsys, field):
+    good = record_to_obj(make_record())
+    huge = 10**400
+    bad = dict(good, **{field: [huge] * 7 if field == "probs" else huge})
+    log = tmp_path / "bad.log"
+    log.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path)]) == 3
+    assert "line 2: bad field value" in capsys.readouterr().err
 
 
 def test_out_of_range_threshold_exits_2(stream_log, tmp_path):
@@ -214,6 +237,152 @@ def test_bad_config_shape_exits_2_naming_key(stream_log, tmp_path, capsys, filec
     assert run_cli(argv) == 2
     assert key in capsys.readouterr().err
     assert not (out / "effective_config.json").exists()
+
+
+def _whole_config(stream_log, tmp_path) -> dict:
+    echo = tmp_path / "echo"
+    assert run_cli(_argv("loso-eval", stream_log, str(echo))) == 0
+    return json.loads((echo / "effective_config.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "path,value,code,named",
+    [
+        (("thresholds", "tau_low"), "0.5", 2, None),
+        (("adaptive", "clamp"), 5, 2, None),
+        (("adaptive", "clamp"), [0.1], 2, None),
+        (("adaptive", "bogus"), 1, 2, None),
+        (("costs", "x2", "gflops"), "3", 2, None),
+        (("costs", "x2"), None, 2, None),
+        (("utility", "delta_acc_table", "drowsiness"), "x", 2, None),
+        (("utility", "lambda"), True, 2, None),
+        (("utility", "lambda"), "x", 2, None),
+        (("scenario", "sr_effect", "hallucination_targets"), [6.7], 2,
+         "scenario.sr_effect.hallucination_targets[0]"),
+        (("scenario", "sr_effect", "hallucination_targets"), [99], 3,
+         "scenario.sr_effect: hallucination_targets"),
+        (("scenario", "sr_effect", "inflation_range"), [0.1], 2, None),
+        (("scenario", "model", "distributions", "texting", "first", "mu"), "0.5", 2, None),
+        (("scenario", "model", "distributions", "drowsiness", "type"), "gamma", 2, None),
+        (("scenario", "model", "distributions", "drowsiness", "mu"), 1.5, 3,
+         "scenario.model.distributions.drowsiness: mu 1.5"),
+        (("guard_threshold",), float("inf"), 2, None),
+        (("critical_fp_conf_cut",), "0.5", 2, None),
+        (("critical_fp_conf_cut",), float("nan"), 2, None),
+        (("thresholds", "tau_high"), 0.1, 2, "thresholds: need 0 <= tau_low < tau_high"),
+    ],
+)
+def test_bad_whole_config_value_exits_naming_its_path(
+    stream_log, tmp_path, capsys, path, value, code, named
+):
+    full = _whole_config(stream_log, tmp_path)
+    node = full
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, full)]
+    assert run_cli(argv) == code
+    assert (named or ".".join(path)) in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand,filecfg,key",
+    [
+        ("simulate", {"seed": 4.7}, "seed"),
+        ("simulate", {"seed": True}, "seed"),
+        ("simulate", {"seed": "7"}, "seed"),
+        ("simulate", {"n_per_class": 5.9}, "n_per_class"),
+        ("simulate", {"subjects": "3"}, "subjects"),
+        ("simulate", {"policy": 1}, "policy"),
+        ("loso-eval", {"seed": 4.7}, "seed"),
+        ("loso-eval", {"policy": ["gate"]}, "policy"),
+        ("calibrate", {"seed": "3"}, "seed"),
+        ("calibrate", {"seed": 3.0}, "seed"),
+    ],
+)
+def test_bad_run_level_key_exits_2_naming_key(stream_log, tmp_path, capsys, subcommand, filecfg, key):
+    base = {"seed": 3, "n_per_class": 5, "subjects": 3} if subcommand == "simulate" else {"seed": 3}
+    out = tmp_path / "o"
+    argv = [subcommand, "--resamples", "0", "--out", str(out)]
+    if subcommand != "simulate":
+        argv += ["--log", stream_log]
+    argv += ["--config", _write_config(tmp_path, {**base, **filecfg})]
+    assert run_cli(argv) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+def _outputs(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("subcommand", ["gate", "calibrate", "guard", "sweep", "simulate", "loso-eval"])
+def test_config_echo_fed_back_reproduces_every_output(stream_log, tmp_path, subcommand):
+    first = tmp_path / "first"
+    argv = _argv(subcommand, stream_log, str(first))
+    if subcommand == "calibrate":
+        argv += ["--seed", "3", "--resamples", "20"]
+    assert run_cli(argv) == 0
+    again = tmp_path / "again"
+    argv = [subcommand, "--config", str(first / "effective_config.json"), "--out", str(again)]
+    if subcommand != "simulate":
+        argv += ["--log", stream_log]
+    assert run_cli(argv) == 0
+    assert _outputs(again) == _outputs(first)
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A small log and the whole config its loso-eval run echoes."""
+    work = tmp_path_factory.mktemp("fuzz")
+    log = work / "preds.log"
+    write_log(sample_stream(ExperimentConfig().scenario.model, 4, 3, seed=3), str(log))
+    echo = work / "echo"
+    assert run_cli(["loso-eval", "--log", str(log), "--seed", "3", "--resamples", "0",
+                    "--out", str(echo)]) == 0
+    return str(log), json.loads((echo / "effective_config.json").read_text())
+
+
+def _leaves(node, path=()):
+    """Key paths of every object member, nested objects included."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+
+
+_CORRUPTIONS = ["x", True, None, float("nan"), [0.5], {"a": 1}, "delete", "sibling"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_corrupted_whole_config_exits_cleanly_or_round_trips(fuzz_run, data):
+    log, full = fuzz_run
+    path = data.draw(st.sampled_from(sorted(_leaves(full))), label="path")
+    corruption = data.draw(st.sampled_from(_CORRUPTIONS), label="corruption")
+    cfg = json.loads(json.dumps(full))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if corruption == "delete":
+        del node[path[-1]]
+    elif corruption == "sibling":
+        node["bogus_key"] = 1
+    else:
+        node[path[-1]] = corruption
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "cfg.json").write_text(json.dumps(cfg))
+        code = run_cli(["loso-eval", "--log", log, "--config", str(work / "cfg.json"),
+                        "--out", str(work / "one")])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            echo = work / "one" / "effective_config.json"
+            again = ["loso-eval", "--log", log, "--config", str(echo), "--out", str(work / "two")]
+            assert run_cli(again) == 0
+            assert _outputs(work / "two") == _outputs(work / "one")
 
 
 @pytest.mark.parametrize("flag", ["--adaptive", "--no-adaptive"])

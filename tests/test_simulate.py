@@ -137,6 +137,24 @@ def test_sample_stream_mixture_draws_both_components():
     assert (confs < 0.5).any() and (confs > 0.7).any()
 
 
+def test_nested_mixture_round_trips_and_draws_every_component():
+    inner = MixtureSpec(0.5, TruncatedNormalSpec(0.3, 0.02), TruncatedNormalSpec(0.6, 0.02))
+    mix = MixtureSpec(0.5, inner, TruncatedNormalSpec(0.9, 0.02))
+    model = BehaviorConfidenceModel(distributions=(mix,) * NUM_CLASSES)
+    cfg = ExperimentConfig(scenario=ScenarioConfig(model=model))
+    from srgate.config import experiment_from_dict, experiment_to_dict
+
+    assert experiment_from_dict(json.loads(json.dumps(experiment_to_dict(cfg)))) == cfg
+    confs = np.array([r.confidence for r in sample_stream(model, 300, 4, seed=3)])
+    assert (confs < 0.4).any() and ((confs > 0.5) & (confs < 0.7)).any() and (confs > 0.8).any()
+
+
+@pytest.mark.parametrize("targets", [(7,), (-1,), (6, 99)])
+def test_hallucination_targets_must_be_class_ids(targets):
+    with pytest.raises(InvalidModelParams, match="hallucination_targets"):
+        SrEffectConfig(hallucination_targets=targets)
+
+
 def test_model_param_validation():
     with pytest.raises(InvalidModelParams):
         TruncatedNormalSpec(0.5, 0.0)
