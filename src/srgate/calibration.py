@@ -108,28 +108,38 @@ def pr_curve_arrays(
     Tied scores form a single step. Integer `weights`, if given, count each
     record that many times (0 drops it), so the curve is exactly that of the
     records repeated. Returns (thresholds, precision, recall).
+
+    Two fast paths skip work that cannot change the result. Scores already
+    in descending order (as the bootstrap passes them) are not sorted again,
+    since a stable sort of such input is the identity; NaN fails that test
+    and takes the sort. When no two scores tie, every record ends its own
+    step, so the cumulative counts are returned without gathering group ends
+    (the thresholds may then be `scores` itself).
     """
-    labels = labels.astype(bool)
     if weights is None:
         weights = np.ones(scores.size, dtype=np.int64)
     else:
         # integer indices: gathering by a boolean mask is several times slower
         kept = np.flatnonzero(weights > 0)
         scores, labels, weights = scores[kept], labels[kept], weights[kept]
-    n_pos = int(weights[labels].sum())
+    if not (scores[1:] <= scores[:-1]).all():
+        order = np.argsort(-scores, kind="mergesort")
+        scores, labels, weights = scores[order], labels[order], weights[order]
+    # labels count by truth value; integer weights make the running sums
+    # exact, so the last is the total
+    tp = np.cumsum(np.where(labels, weights, 0))
+    n_pos = int(tp[-1]) if tp.size else 0
     if n_pos == 0:
         raise DegenerateLabels("need at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_weights = weights[order]
-    # inclusive end index of each tied group
-    last = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.append(last, scores.size - 1)
-    tp = np.cumsum(np.where(labels[order], sorted_weights, 0))[ends]
-    predicted = np.cumsum(sorted_weights)[ends]
+    predicted = np.cumsum(weights)
+    # a tied group ends where the next score differs, and at the last record
+    last = np.flatnonzero(np.diff(scores))
+    if last.size < scores.size - 1:
+        ends = np.append(last, scores.size - 1)
+        scores, tp, predicted = scores[ends], tp[ends], predicted[ends]
     precision = tp / predicted
     recall = tp / n_pos
-    return sorted_scores[ends], precision, recall
+    return scores, precision, recall
 
 
 def aupr_arrays(
@@ -223,7 +233,7 @@ def _aupr_by_draw(
 
     A draw holding subject s w_s times is the records weighted by w_s, which
     ``aupr_arrays`` scores exactly as the concatenated resample, bit for bit.
-    The scores are sorted once here, so its sort runs on ordered input.
+    The scores are sorted once here, so ``pr_curve_arrays`` skips its sort.
     """
     subject = np.empty(scores.size, dtype=np.int64)
     for s, members in enumerate(groups):
@@ -238,25 +248,62 @@ def _aupr_by_draw(
     return evaluate
 
 
+class SubjectResampling:
+    """The subject groups, arrays and draws of some records, shared by the
+    bootstrap CIs of one report.
+
+    Draw k is ``default_rng([seed, k]).integers(0, n, n)`` for n subjects.
+    Draws are made on first use and kept, and the arrays are built on first
+    use (a callable metric needs none), so the CIs of one report group and
+    convert the records once and build each generator once. Make one per
+    report, never per process: a table that outlived its report would make
+    later runs read warmer than a user's single run. `arrays`, if given, are
+    ``record_arrays(records)``, already built by the caller.
+    """
+
+    def __init__(
+        self, records: Sequence[PredictionRecord], seed: int, arrays: RecordArrays | None = None
+    ):
+        self.records = records
+        self.seed = seed
+        _, self.groups = subject_groups(records)
+        self._arrays = arrays
+        self._draws: list[np.ndarray] = []
+
+    @property
+    def arrays(self) -> RecordArrays:
+        if self._arrays is None:
+            self._arrays = record_arrays(self.records)
+        return self._arrays
+
+    def draw(self, attempt: int) -> np.ndarray:
+        draws = self._draws
+        n = len(self.groups)
+        while len(draws) <= attempt:
+            draws.append(np.random.default_rng([self.seed, len(draws)]).integers(0, n, size=n))
+        return draws[attempt]
+
+
 def _resolve_metric(
-    records: Sequence[PredictionRecord],
     metric: str | Callable[[Sequence[PredictionRecord]], float],
     bins: int,
     class_id: int | None,
-    groups: Sequence[np.ndarray],
+    resampling: SubjectResampling,
 ) -> Callable[[np.ndarray], float]:
-    """Bind a metric to the evaluation of one subject draw over `records`.
+    """Bind a metric to the evaluation of one subject draw over the records.
 
     AUPR scores the draw directly; every other metric scores the
     concatenated resample of the drawn subjects' records.
     """
+    groups = resampling.groups
 
     def on_resample(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
         return lambda draw: fn(np.concatenate([groups[d] for d in draw]))
 
     if callable(metric):
+        records = resampling.records
         return on_resample(lambda idx: float(metric([records[i] for i in idx])))
-    a = record_arrays(records)
+    a = resampling.arrays
     if metric == "ece":
         return on_resample(lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins))
     if metric == "brier":
@@ -282,6 +329,8 @@ def bootstrap_ci(
     seed: int = 0,
     bins: int = 10,
     class_id: int | None = None,
+    *,
+    resampling: SubjectResampling | None = None,
 ) -> tuple[float, float]:
     """Percentile interval from resampling subjects with replacement.
 
@@ -294,7 +343,14 @@ def bootstrap_ci(
     AUPR resamples are scored as the presorted records weighted by the
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to
     ``aupr_arrays`` on the concatenated resample; every other metric scores
-    the concatenated resample itself.
+    the concatenated resample itself. Since the records arrive in
+    descending score order, ``pr_curve_arrays`` skips its sort, and on
+    distinct scores its tie-group gathers too.
+
+    `resampling`, a ``SubjectResampling`` of these records and `seed`,
+    supplies their subject groups, arrays and draws, so the CIs of one
+    report share them instead of each grouping and converting the records
+    and building the same generators; the interval is the same either way.
     """
     if not records:
         raise EmptyInput("no records")
@@ -302,9 +358,11 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0,1)")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    subjects, groups = subject_groups(records)
-    eval_metric = _resolve_metric(records, metric, bins, class_id, groups)
-    n_subjects = len(subjects)
+    if resampling is None:
+        resampling = SubjectResampling(records, seed)
+    elif resampling.records is not records or resampling.seed != seed:
+        raise ValueError("resampling was made for other records or another seed")
+    eval_metric = _resolve_metric(metric, bins, class_id, resampling)
 
     values = np.empty(n_resamples, dtype=np.float64)
     got = 0
@@ -312,10 +370,8 @@ def bootstrap_ci(
     for attempt in range(max_attempts):
         if got == n_resamples:
             break
-        rng = np.random.default_rng([seed, attempt])
-        draw = rng.integers(0, n_subjects, size=n_subjects)
         try:
-            values[got] = eval_metric(draw)
+            values[got] = eval_metric(resampling.draw(attempt))
         except (DegenerateLabels, EmptyInput, MissingProbs):
             continue
         got += 1
@@ -362,7 +418,8 @@ def calibration_report(
 
     ci_metrics entries are "ece", "brier", "accuracy", or "aupr:<class_id>" /
     "auroc:<class_id>" for one-vs-rest ranking CIs. The point metrics share
-    one conversion of the records to arrays.
+    one conversion of the records to arrays, which the CIs share with their
+    subject groups and draws (``SubjectResampling``).
     """
     a = _arrays(records, bins)
     bin_list = reliability_bins(a, bins)
@@ -370,6 +427,7 @@ def calibration_report(
     ci = None
     if ci_metrics:
         ci = {}
+        resampling = SubjectResampling(records, seed, arrays=a)
         for name in ci_metrics:
             metric, _, class_part = name.partition(":")
             class_id = int(class_part) if class_part else None
@@ -381,6 +439,7 @@ def calibration_report(
                 seed=seed,
                 bins=bins,
                 class_id=class_id,
+                resampling=resampling,
             )
             ci[name] = (lo, hi, level)
     return CalibrationReport(

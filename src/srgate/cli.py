@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,12 +72,21 @@ def _write_json(path: str, obj) -> None:
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The JSON object in the config file at `path`; a ValueError (exit 2)
+    names the file, and for invalid JSON json's line and column."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: config file is not UTF-8 text") from None
     if not isinstance(data, dict):
-        raise err.SchemaMismatch(f"{path}: config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     return data
 
 
@@ -116,9 +125,32 @@ _FLAT_KEYS = {
 }
 
 
+# Keys that only a whole config spells: its top-level keys other than the
+# flat keys, and "adaptive" when it is an object (gate's flat "adaptive" is
+# a bool).
+_WHOLE_ONLY_KEYS = tuple(
+    f.name for f in fields(cfgmod.ExperimentConfig) if f.name not in ("thresholds", *_FLAT_KEYS)
+)
+
+
+def _is_whole(filecfg: dict) -> bool:
+    """Whether `filecfg` is a whole config, that is one holding "thresholds"
+    as every echo does. A key that only a whole config spells, in a config
+    without "thresholds", would be dropped, so it is an error (exit 2)."""
+    if "thresholds" in filecfg:
+        return True
+    for key in _WHOLE_ONLY_KEYS:
+        if key in filecfg and (key != "adaptive" or isinstance(filecfg[key], dict)):
+            raise ValueError(
+                f"config holds {key!r}, which only a whole config spells, "
+                "but lacks 'thresholds'; a whole config needs every key"
+            )
+    return False
+
+
 def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
     """Assemble an ExperimentConfig from defaults, config file, and flags."""
-    if "thresholds" in filecfg:
+    if _is_whole(filecfg):
         config = cfgmod.experiment_from_dict(filecfg)
     else:
         config = cfgmod.ExperimentConfig()
@@ -540,15 +572,17 @@ def _cmd_simulate(args) -> int:
 def _cmd_loso_eval(args) -> int:
     filecfg = _load_config_file(args.config)
     config = _experiment_config(args, filecfg)
-    if "uplift" not in filecfg and args.uplift is None:
-        # log evaluation scores records as they stand; synthetic SR effects
-        # are opt-in here, unlike simulate
-        effect = replace(
-            config.scenario.sr_effect, uplift_enabled=False, hallucination_enabled=False
-        )
-        config = config.with_overrides(
-            scenario=replace(config.scenario, sr_effect=effect)
-        )
+    # log evaluation scores records as they stand: each synthetic SR effect
+    # is off unless a flag, a flat key or a whole config sets it, unlike
+    # simulate
+    unset = [] if _is_whole(filecfg) else [
+        key
+        for key in ("uplift", "hallucination")
+        if getattr(args, key) is None and key not in filecfg
+    ]
+    if unset:
+        effect = replace(config.scenario.sr_effect, **{f"{key}_enabled": False for key in unset})
+        config = config.with_overrides(scenario=replace(config.scenario, sr_effect=effect))
     seed = _pick(args, filecfg, "seed", None, int | None)
     if seed is None:
         raise ValueError("--seed is required for loso-eval")

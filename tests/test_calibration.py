@@ -277,6 +277,87 @@ def test_aupr_weights_count_records_repeated(decimals):
         assert aupr_arrays(scores, labels, weights).hex() == want.hex()
 
 
+def _frozen_pr_curve_arrays(scores, labels, weights=None):
+    """pr_curve_arrays as it stood before its presorted and tie-free fast
+    paths: always a stable sort, always the tie-group gathers."""
+    labels = labels.astype(bool)
+    if weights is None:
+        weights = np.ones(scores.size, dtype=np.int64)
+    else:
+        kept = np.flatnonzero(weights > 0)
+        scores, labels, weights = scores[kept], labels[kept], weights[kept]
+    n_pos = int(weights[labels].sum())
+    if n_pos == 0:
+        raise DegenerateLabels("need at least one positive")
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    sorted_weights = weights[order]
+    last = np.nonzero(np.diff(sorted_scores))[0]
+    ends = np.append(last, scores.size - 1)
+    tp = np.cumsum(np.where(labels[order], sorted_weights, 0))[ends]
+    predicted = np.cumsum(sorted_weights)[ends]
+    return sorted_scores[ends], tp / predicted, tp / n_pos
+
+
+def _frozen_aupr_arrays(scores, labels, weights=None):
+    _, precision, recall = _frozen_pr_curve_arrays(scores, labels, weights)
+    prev_recall = np.concatenate(([0.0], recall[:-1]))
+    return float(np.sum((recall - prev_recall) * precision))
+
+
+def _pr_case(rng, kind):
+    n = 1 if kind == "single" else int(rng.integers(2, 60))
+    decimals = 2 if kind in ("presorted-ties", "unsorted-ties") else 12
+    scores = np.round(rng.random(n), decimals)
+    if kind.startswith("presorted"):
+        scores = -np.sort(-scores, kind="stable")
+        if kind == "presorted-distinct":
+            scores = np.unique(scores)[::-1]
+    if kind == "nan":
+        scores[rng.integers(0, n, size=2)] = np.nan
+    if kind == "signed-zero":
+        scores = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    labels = rng.random(scores.size) < 0.4
+    if kind == "no-positive":
+        labels[:] = False
+    if kind == "int-labels":
+        labels = labels * rng.integers(1, 3, size=labels.size)
+    weights = None
+    if kind != "unweighted":
+        weights = rng.integers(0, 4, size=scores.size)
+        if kind == "zero-weights":
+            weights[rng.random(scores.size) < 0.5] = 0
+    return scores, labels, weights
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["presorted-distinct", "presorted-ties", "unsorted", "unsorted-ties", "zero-weights",
+     "single", "no-positive", "unweighted", "nan", "signed-zero", "int-labels"],
+)
+def test_pr_curve_fast_paths_match_frozen_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    degenerate = 0
+    for _ in range(200):
+        scores, labels, weights = _pr_case(rng, kind)
+        try:
+            want = _frozen_pr_curve_arrays(scores, labels, weights)
+        except DegenerateLabels:
+            degenerate += 1
+            with pytest.raises(DegenerateLabels):
+                calibration.pr_curve_arrays(scores, labels, weights)
+            with pytest.raises(DegenerateLabels):
+                aupr_arrays(scores, labels, weights)
+            continue
+        got = calibration.pr_curve_arrays(scores, labels, weights)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert aupr_arrays(scores, labels, weights).hex() == (
+            _frozen_aupr_arrays(scores, labels, weights).hex()
+        )
+    assert (degenerate == 200) == (kind == "no-positive")
+
+
 # --- bootstrap ------------------------------------------------------------------------
 
 def test_bootstrap_single_subject_zero_width():
@@ -444,6 +525,33 @@ def test_bootstrap_callable_metric_matches_named():
 
 
 # --- report assembly ----------------------------------------------------------------------
+
+def test_report_cis_equal_standalone_bootstrap_calls():
+    rng = np.random.default_rng(14)
+    recs = random_records(rng, 150, n_subjects=6)
+    names = ["ece", "brier", "accuracy", "aupr:6", "auroc:2"]
+    report = calibration_report(recs, ci_metrics=names, n_resamples=40, level=0.9, seed=8)
+    for name in names:
+        metric, _, k = name.partition(":")
+        lo, hi = bootstrap_ci(
+            recs, metric, n_resamples=40, level=0.9, seed=8, class_id=int(k) if k else None
+        )
+        assert report.ci[name] == (lo, hi, 0.9)
+    again = calibration_report(recs, ci_metrics=names, n_resamples=40, level=0.9, seed=8)
+    assert again == report
+
+
+def test_bootstrap_rejects_resampling_of_other_records_or_seed():
+    rng = np.random.default_rng(15)
+    recs = random_records(rng, 40, n_subjects=4)
+    resampling = calibration.SubjectResampling(recs, seed=3)
+    shared = bootstrap_ci(recs, "ece", n_resamples=16, seed=3, resampling=resampling)
+    assert shared == bootstrap_ci(recs, "ece", n_resamples=16, seed=3)
+    with pytest.raises(ValueError, match="other records or another seed"):
+        bootstrap_ci(recs, "ece", n_resamples=16, seed=4, resampling=resampling)
+    with pytest.raises(ValueError, match="other records or another seed"):
+        bootstrap_ci(recs[:-1], "ece", n_resamples=16, seed=3, resampling=resampling)
+
 
 def test_calibration_report_counts_and_ci_keys():
     rng = np.random.default_rng(11)

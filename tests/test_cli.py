@@ -288,6 +288,119 @@ def test_bad_whole_config_value_exits_naming_its_path(
 
 
 @pytest.mark.parametrize(
+    "key", ["adaptive", "utility", "costs", "scenario", "guard_enabled", "guard_relative",
+            "critical_fp_conf_cut"],
+)
+def test_whole_config_key_without_thresholds_exits_2_naming_thresholds(
+    stream_log, tmp_path, capsys, key
+):
+    full = _whole_config(stream_log, tmp_path)
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out))
+    argv += ["--config", _write_config(tmp_path, {key: full[key]})]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "thresholds" in err and key in err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_whole_config_less_thresholds_exits_2_instead_of_reverting_sections(
+    stream_log, tmp_path, capsys
+):
+    echo = tmp_path / "echo"
+    assert run_cli(_argv("loso-eval", stream_log, str(echo)) + ["--no-guard"]) == 0
+    full = json.loads((echo / "effective_config.json").read_text())
+    assert full["guard_enabled"] is False
+    del full["thresholds"]
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, full)]
+    assert run_cli(argv) == 2
+    assert "thresholds" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_gate_flat_adaptive_bool_is_not_a_whole_config_key(stream_log, tmp_path):
+    out = tmp_path / "o"
+    argv = _argv("gate", stream_log, str(out))
+    argv += ["--config", _write_config(tmp_path, {"adaptive": True})]
+    assert run_cli(argv) == 0
+    assert json.loads((out / "effective_config.json").read_text())["adaptive_gate"] is True
+
+
+@pytest.mark.parametrize(
+    "extra,filecfg,want",
+    [
+        ([], None, (False, False)),
+        (["--hallucination"], None, (False, True)),
+        (["--uplift"], None, (True, False)),
+        (["--uplift", "--hallucination"], None, (True, True)),
+        ([], {"hallucination": True}, (False, True)),
+        ([], {"uplift": True}, (True, False)),
+        (["--no-hallucination"], {"uplift": True, "hallucination": True}, (True, False)),
+    ],
+    ids=["default", "hallucination-flag", "uplift-flag", "both-flags", "hallucination-key",
+         "uplift-key", "flag-over-key"],
+)
+def test_loso_eval_sr_effects_are_off_each_unless_set(stream_log, tmp_path, extra, filecfg, want):
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + extra
+    if filecfg is not None:
+        argv += ["--config", _write_config(tmp_path, filecfg)]
+    assert run_cli(argv) == 0
+    effect = json.loads((out / "effective_config.json").read_text())["scenario"]["sr_effect"]
+    assert (effect["uplift_enabled"], effect["hallucination_enabled"]) == want
+
+
+def test_loso_eval_keeps_sr_effects_of_a_whole_config(stream_log, tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli(_argv("simulate", stream_log, str(sim))) == 0
+    whole = json.loads((sim / "effective_config.json").read_text())
+    effect = whole["scenario"]["sr_effect"]
+    assert effect["uplift_enabled"] and effect["hallucination_enabled"]
+    out = tmp_path / "o"
+    argv = ["loso-eval", "--log", stream_log, "--resamples", "0", "--out", str(out),
+            "--config", str(sim / "effective_config.json")]
+    assert run_cli(argv) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert echo["scenario"]["sr_effect"] == effect
+
+
+@pytest.mark.parametrize("subcommand", ["gate", "loso-eval", "simulate"])
+def test_config_file_not_an_object_exits_2(stream_log, tmp_path, capsys, subcommand):
+    cfg = _write_config(tmp_path, [{"tau_low": 0.5}])
+    out = tmp_path / "o"
+    assert run_cli(_argv(subcommand, stream_log, str(out)) + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert cfg in err and "JSON object" in err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [("{'tau_low': 0.5}", 1, 2), ('{\n  "tau_low": 0.5,\n}\n', 3, 1), ("", 1, 1)],
+    ids=["single-quotes", "trailing-comma", "empty"],
+)
+def test_config_file_invalid_json_exits_2_naming_file_line_and_column(
+    stream_log, tmp_path, capsys, text, line, column
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(_argv("gate", stream_log, str(out)) + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"line {line} column {column}" in err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_config_file_not_utf8_exits_2_naming_file(stream_log, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"tau_low": "\xff"}')
+    out = tmp_path / "o"
+    assert run_cli(_argv("gate", stream_log, str(out)) + ["--config", str(cfg)]) == 2
+    assert f"{cfg}: config file is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "subcommand,filecfg,key",
     [
         ("simulate", {"seed": 4.7}, "seed"),
