@@ -1,8 +1,11 @@
 """Operator CLI: reproducible runs of the gating/calibration toolkit.
 
 Subcommands: quality, gate, calibrate, guard, sweep, pareto, simulate,
-loso-eval. Flags mirror config-file keys one-to-one (dashes become
-underscores); flags win over file values, file values win over defaults.
+loso-eval. Each config-backed option is declared once, in ``_OPTIONS``: its
+config key and JSON type, the flag of that name (dashes for underscores)
+and the subcommands that take it. Flags win over file values, file values
+win over defaults; a file key that no subcommand reads, or one given twice,
+is a usage error.
 Every run writes its resolved configuration to ``effective_config.json``
 in the output directory; feeding that file back via ``--config``
 reproduces the run. All randomness flows from ``--seed``.
@@ -17,10 +20,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from dataclasses import dataclass, fields
+from typing import Iterable, Sequence, get_args
 
 from . import calibration as cal
 from . import config as cfgmod
@@ -31,27 +32,6 @@ from . import gating, guard, quality, records, schema, simulate
 USAGE_EXIT = 2
 DATA_EXIT = 3
 IO_EXIT = 4
-
-_VALIDATION_ERRORS = (
-    err.MalformedRecord,
-    err.EmptyLog,
-    err.UnsupportedFormat,
-    err.TruncatedFile,
-    err.DimensionOverflow,
-    err.ImageTooSmall,
-    err.DimensionMismatch,
-    err.TooFewFrames,
-    err.MissingTableEntry,
-    err.EmptyInput,
-    err.MissingProbs,
-    err.DegenerateLabels,
-    err.MetricUndefinedOnResample,
-    err.GuardOnNonSR,
-    err.ZeroNormalizer,
-    err.TooFewSubjects,
-    err.InvalidModelParams,
-    err.SchemaMismatch,
-)
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
@@ -71,6 +51,17 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.load would keep the
+    last of a repeated key's values, so a repeat is an error (exit 2)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"config key {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
 def _load_config_file(path: str | None) -> dict:
     """The JSON object in the config file at `path`; a ValueError (exit 2)
     names the file, and for invalid JSON json's line and column."""
@@ -78,59 +69,116 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}: config file is not UTF-8 text") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     return data
 
 
-def _pick(args: argparse.Namespace, filecfg: dict, key: str, default, kind):
-    """Flag > config file > default. Flag defaults are None sentinels. A flag
-    or file value must pass the JSON rule of `kind` (see `schema`), so "false"
-    is not read as on nor 4.7 as 4; the ValueError names `key`."""
-    value = getattr(args, key, None)
-    if value is None:
-        if key not in filecfg:
-            return default
-        value = filecfg[key]
-    return schema.decode(kind, value, key)
+# --- config-backed options ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Option:
+    """One config-backed option: a key of flat configs and the --flag of
+    that name (underscores become dashes) on each of `commands`.
+
+    A flat key sets the field of a whole config at `path` (the opposite of
+    it when `negated`). A run-level key has no path: its value, `default`
+    when neither the flag nor the file gives one, goes into the run's echo.
+    """
+
+    key: str
+    kind: object
+    commands: tuple[str, ...]
+    path: tuple[str, ...] | None = None
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    negated: bool = False
+    help: str | None = None
 
 
-# Each flat config key, and the flag of that name, sets one field of a whole
-# config: (its key path there, its JSON type).
-_FLAT_KEYS = {
-    "tau_low": (("thresholds", "tau_low"), float),
-    "tau_high": (("thresholds", "tau_high"), float),
-    "critical_cut": (("thresholds", "critical_cut"), float),
-    "tau_base": (("adaptive", "tau_base"), float),
-    "alpha_blur": (("adaptive", "alpha_blur"), float),
-    "alpha_light": (("adaptive", "alpha_light"), float),
-    "blur_ref": (("adaptive", "blur_ref"), float),
-    "lambda": (("utility", "lambda"), float),
-    "w_crit": (("utility", "w_crit"), float),
-    "uplift": (("scenario", "sr_effect", "uplift_enabled"), bool),
-    "hallucination": (("scenario", "sr_effect", "hallucination_enabled"), bool),
-    "guard": (("guard_enabled",), bool),
-    "guard_threshold": (("guard_threshold",), float),
-    "guard_discount": (("guard_discount",), float),
-    "bins": (("bins",), int),
-    "resamples": (("resamples",), int),
-    "ci_level": (("ci_level",), float),
-}
+_THRESHOLDS = ("gate", "guard", "sweep", "simulate", "loso-eval")
+_ADAPTIVE = ("gate", "simulate", "loso-eval")
+_UTILITY = ("gate", "sweep", "simulate", "loso-eval")
+_GUARD = ("guard", "simulate", "loso-eval")
+_METRICS = ("calibrate", "simulate", "loso-eval")
+_EXPERIMENT = ("simulate", "loso-eval")
 
+_OPTIONS = (
+    _Option("tau_low", float, _THRESHOLDS, path=("thresholds", "tau_low")),
+    _Option("tau_high", float, _THRESHOLDS, path=("thresholds", "tau_high")),
+    _Option("critical_cut", float, _THRESHOLDS, path=("thresholds", "critical_cut")),
+    _Option("tau_base", float, _ADAPTIVE, path=("adaptive", "tau_base")),
+    _Option("alpha_blur", float, _ADAPTIVE, path=("adaptive", "alpha_blur")),
+    _Option("alpha_light", float, _ADAPTIVE, path=("adaptive", "alpha_light")),
+    _Option("blur_ref", float, _ADAPTIVE, path=("adaptive", "blur_ref")),
+    _Option("lambda", float, _UTILITY, path=("utility", "lambda")),
+    _Option("w_crit", float, _UTILITY, path=("utility", "w_crit")),
+    _Option("uplift", bool, _EXPERIMENT, path=("scenario", "sr_effect", "uplift_enabled")),
+    _Option(
+        "hallucination", bool, _EXPERIMENT, path=("scenario", "sr_effect", "hallucination_enabled")
+    ),
+    _Option("guard", bool, _GUARD, path=("guard_enabled",)),
+    _Option("guard_threshold", float, _GUARD, path=("guard_threshold",)),
+    _Option("guard_discount", float, _GUARD, path=("guard_discount",)),
+    _Option(
+        "guard_absolute", bool, _GUARD, path=("guard_relative",), negated=True,
+        help="subtract the discount instead of scaling by it",
+    ),
+    _Option("bins", int, _METRICS, path=("bins",)),
+    _Option("resamples", int, _METRICS, path=("resamples",)),
+    _Option("ci_level", float, _METRICS, path=("ci_level",)),
+    _Option("seed", int | None, _METRICS),
+    _Option("policy", str, _EXPERIMENT, default="gate_adaptive", choices=cfgmod.POLICIES),
+    _Option("n_per_class", int, ("simulate",), default=200),
+    _Option("subjects", int, ("simulate",), default=simulate.PINNED_SUBJECTS),
+    _Option("rel_range", float, ("sweep",), default=0.25),
+    _Option("steps", int, ("sweep",), default=5),
+    _Option("objective", str, ("sweep",), default="outcome", choices=gating.OBJECTIVES),
+)
+_FLAT_OPTIONS = tuple(o for o in _OPTIONS if o.path is not None)
+_RUN_OPTIONS = tuple(o for o in _OPTIONS if o.path is None)
 
 # Keys that only a whole config spells: its top-level keys other than the
 # flat keys, and "adaptive" when it is an object (gate's flat "adaptive" is
 # a bool).
 _WHOLE_ONLY_KEYS = tuple(
-    f.name for f in fields(cfgmod.ExperimentConfig) if f.name not in ("thresholds", *_FLAT_KEYS)
+    f.name
+    for f in fields(cfgmod.ExperimentConfig)
+    if f.name not in ("thresholds", *(o.key for o in _FLAT_OPTIONS))
 )
+
+# Every top-level key some subcommand reads from a config file. The echo's
+# "subcommand" and "log" are accepted so that an echo can be fed back.
+_CONFIG_KEYS = frozenset(
+    {o.key for o in _OPTIONS}
+    | {f.name for f in fields(cfgmod.ExperimentConfig)}
+    | {"adaptive_gate", "subcommand", "log"}
+)
+
+
+def _pick(args, filecfg: dict, key: str, kind, default, choices=None):
+    """Flag > config file > default. Flag defaults are None sentinels. A flag
+    or file value must pass the JSON rule of `kind` (see `schema`), so "false"
+    is not read as on nor 4.7 as 4, and be one of `choices` if given; the
+    ValueError names `key`."""
+    value = getattr(args, key, None)
+    if value is None:
+        if key not in filecfg:
+            return default
+        value = filecfg[key]
+    value = schema.decode(kind, value, key)
+    if choices is not None and value not in choices:
+        raise ValueError(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
 
 
 def _is_whole(filecfg: dict) -> bool:
@@ -152,17 +200,65 @@ def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
     """Assemble an ExperimentConfig from defaults, config file, and flags."""
     if _is_whole(filecfg):
         config = cfgmod.experiment_from_dict(filecfg)
+    elif args.subcommand == "loso-eval":
+        # log evaluation scores records as they stand: each synthetic SR
+        # effect is off unless a flag or a flat key sets it, unlike simulate
+        effect = cfgmod.SrEffectConfig(uplift_enabled=False, hallucination_enabled=False)
+        config = cfgmod.ExperimentConfig(scenario=cfgmod.ScenarioConfig(sr_effect=effect))
     else:
         config = cfgmod.ExperimentConfig()
     whole = cfgmod.experiment_to_dict(config)
-    for key, ((*sections, name), kind) in _FLAT_KEYS.items():
+    for option in _FLAT_OPTIONS:
+        *sections, name = option.path
         node = whole
         for section in sections:
             node = node[section]
-        node[name] = _pick(args, filecfg, key, node[name], kind)
-    absolute = _pick(args, filecfg, "guard_absolute", not whole["guard_relative"], bool)
-    whole["guard_relative"] = not absolute
+        if option.negated:
+            node[name] = not _pick(args, filecfg, option.key, option.kind, not node[name])
+        else:
+            node[name] = _pick(args, filecfg, option.key, option.kind, node[name])
     return cfgmod.experiment_from_dict(whole)
+
+
+def _gate_adaptive(args, filecfg: dict) -> bool:
+    """gate's on/off for the adaptive policy: the flag, else the config file.
+
+    gate's echo stores it as "adaptive_gate", since in a whole config (one
+    holding "thresholds") "adaptive" is the AdaptiveTauConfig section; a
+    whole config without "adaptive_gate" runs the fixed policy. A flat
+    config may also give it as "adaptive".
+    """
+    if args.adaptive is not None:
+        return args.adaptive
+    whole = "adaptive_gate" in filecfg or "thresholds" in filecfg
+    return _pick(args, filecfg, "adaptive_gate" if whole else "adaptive", bool, False)
+
+
+def _configure(args) -> tuple[cfgmod.ExperimentConfig, dict]:
+    """The ExperimentConfig of a config-backed subcommand, and its run-level
+    values: "subcommand", "log" where the subcommand reads one, the run-level
+    keys it takes, and gate's "adaptive_gate". Flags win over the config file, the file over
+    defaults; a file key that no subcommand reads is an error (exit 2)."""
+    filecfg = _load_config_file(args.config)
+    unknown = sorted(filecfg.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is read by no subcommand")
+    config = _experiment_config(args, filecfg)
+    run = {"subcommand": args.subcommand}
+    if "log" in vars(args):
+        run["log"] = args.log
+    for o in _RUN_OPTIONS:
+        if args.subcommand in o.commands:
+            run[o.key] = _pick(args, filecfg, o.key, o.kind, o.default, o.choices)
+    if args.subcommand == "gate":
+        run["adaptive_gate"] = _gate_adaptive(args, filecfg)
+    return config, run
+
+
+def _effective(run: dict, config: cfgmod.ExperimentConfig) -> dict:
+    """A run's effective configuration; fed back via --config it reproduces
+    the run."""
+    return {**run, **cfgmod.experiment_to_dict(config)}
 
 
 def _outdir(args) -> str:
@@ -173,6 +269,14 @@ def _outdir(args) -> str:
 
 def _echo_config(out: str, effective: dict) -> None:
     _write_json(os.path.join(out, "effective_config.json"), effective)
+
+
+def _write_reliability(out: str, bins) -> None:
+    _write_csv(
+        os.path.join(out, "reliability.csv"),
+        ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
+        [[b.lo, b.hi, b.count, b.mean_conf, b.accuracy] for b in bins],
+    )
 
 
 # --- subcommand bodies ------------------------------------------------------------
@@ -245,24 +349,8 @@ def _decision_rows(recs, config, adaptive: bool):
         )
 
 
-def _gate_adaptive(args, filecfg: dict) -> bool:
-    """gate's on/off for the adaptive policy: the flag, else the config file.
-
-    gate's echo stores it as "adaptive_gate", since in a whole config (one
-    holding "thresholds") "adaptive" is the AdaptiveTauConfig section; a
-    whole config without "adaptive_gate" runs the fixed policy. A flat
-    config may also give it as "adaptive".
-    """
-    if args.adaptive is not None:
-        return args.adaptive
-    whole = "adaptive_gate" in filecfg or "thresholds" in filecfg
-    return _pick(args, filecfg, "adaptive_gate" if whole else "adaptive", False, bool)
-
-
 def _cmd_gate(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    adaptive = _gate_adaptive(args, filecfg)
+    config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
     _write_csv(
@@ -279,48 +367,23 @@ def _cmd_gate(args) -> int:
             "utility_2x",
             "utility_4x",
         ],
-        _decision_rows(recs, config, adaptive),
+        _decision_rows(recs, config, run["adaptive_gate"]),
     )
-    _echo_config(
-        out,
-        {
-            "subcommand": "gate",
-            "log": args.log,
-            "adaptive_gate": adaptive,
-            **cfgmod.experiment_to_dict(config),
-        },
-    )
+    _echo_config(out, _effective(run, config))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    seed = _pick(args, filecfg, "seed", None, int | None)
+    config, run = _configure(args)
+    seed = run["seed"]
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
 
-    critical_ids = sorted(c.id for c in records.CLASSES if c.critical)
-    ci_metrics = ["ece"] + [f"aupr:{k}" for k in critical_ids]
-    report = cal.calibration_report(
-        recs,
-        bins=config.bins,
-        ci_metrics=ci_metrics if config.resamples > 0 else None,
-        n_resamples=max(config.resamples, 1),
-        level=config.ci_level,
-        seed=seed if seed is not None else 0,
-    )
-
-    effective = {
-        "subcommand": "calibrate",
-        "log": args.log,
-        "seed": seed,
-        **cfgmod.experiment_to_dict(config),
-    }
-    fmt = args.format or "both"
-    if fmt in ("report", "both"):
+    report = simulate.pooled_calibration(recs, config, 0 if seed is None else seed)
+    effective = _effective(run, config)
+    if args.format in ("report", "both"):
         _write_json(
             os.path.join(out, "calibration_report.json"),
             {
@@ -329,27 +392,19 @@ def _cmd_calibrate(args) -> int:
                 "config": effective,
             },
         )
-    if fmt in ("csv", "both"):
-        _write_csv(
-            os.path.join(out, "reliability.csv"),
-            ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
-            [[b.lo, b.hi, b.count, b.mean_conf, b.accuracy] for b in report.bins],
-        )
+    if args.format in ("csv", "both"):
+        _write_reliability(out, report.bins)
         # full PR curves for the critical classes, one file each
-        probs = np.array([r.probs for r in recs])
-        true = np.array([r.true_class for r in recs])
-        for k in critical_ids:
-            labels = true == k
+        a = records.record_arrays(recs)
+        for k in sorted(records.CRITICAL_IDS):
+            labels = a.true_class == k
             if not labels.any():
                 continue
-            thresholds, precision, recall = cal.pr_curve_arrays(probs[:, k], labels)
+            thresholds, precision, recall = cal.pr_curve_arrays(a.probs[:, k], labels)
             _write_csv(
                 os.path.join(out, f"pr_{records.CLASSES[k].name}.csv"),
                 ["threshold", "precision", "recall"],
-                [
-                    [float(t), float(p), float(r)]
-                    for t, p, r in zip(thresholds, precision, recall)
-                ],
+                zip(thresholds.tolist(), precision.tolist(), recall.tolist()),
             )
     _echo_config(out, effective)
     return 0
@@ -358,30 +413,20 @@ def _cmd_calibrate(args) -> int:
 def _guard_rows(recs, config):
     """One guard.csv row per record, yielded as it is decided."""
     for r in recs:
-        d = gating.gate(r.confidence, r.criticality, config.thresholds)
+        level = gating.gate(r.confidence, r.criticality, config.thresholds).level
         label = (
             guard.label_artifact(r.ssim_vs_hr, r.perceptual_loss)
             if r.ssim_vs_hr is not None and r.perceptual_loss is not None
             else None
         )
-        if d.level == records.SRLevel.NONE or r.artifact_score is None:
-            yield (
-                r.clip_id, r.artifact_score, d.level.label, False,
-                d.level != records.SRLevel.NONE, r.confidence, label,
-            )
+        if level == records.SRLevel.NONE:
+            yield (r.clip_id, r.artifact_score, level.label, False, False, r.confidence, label)
             continue
-        outcome = guard.apply_guard(
-            r.artifact_score,
-            d,
-            r.confidence,
-            threshold=config.guard_threshold,
-            discount=config.guard_discount,
-            relative_discount=config.guard_relative,
-        )
+        outcome = simulate.guard_outcome(r, level, r.artifact_score, config)
         yield (
             r.clip_id,
             outcome.p_artifact,
-            d.level.label,
+            level.label,
             outcome.triggered,
             outcome.used_sr,
             outcome.final_confidence,
@@ -390,8 +435,7 @@ def _guard_rows(recs, config):
 
 
 def _cmd_guard(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
+    config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
     _write_csv(
@@ -399,25 +443,14 @@ def _cmd_guard(args) -> int:
         ["clip_id", "p_artifact", "level", "triggered", "used_sr", "final_confidence", "artifact_label"],
         _guard_rows(recs, config),
     )
-    _echo_config(
-        out,
-        {
-            "subcommand": "guard",
-            "log": args.log,
-            **cfgmod.experiment_to_dict(config),
-        },
-    )
+    _echo_config(out, _effective(run, config))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    rel_range = _pick(args, filecfg, "rel_range", 0.25, float)
-    steps = _pick(args, filecfg, "steps", 5, int)
-    objective = _pick(args, filecfg, "objective", "outcome", str)
+    config, run = _configure(args)
     # before the ingest and the output directory, so a bad setting costs neither
-    gating.check_sweep_settings(rel_range, steps, objective)
+    gating.check_sweep_settings(run["rel_range"], run["steps"], run["objective"])
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
     rows = gating.sensitivity_sweep(
@@ -425,9 +458,9 @@ def _cmd_sweep(args) -> int:
         config.thresholds,
         config.utility,
         config.costs,
-        rel_range=rel_range,
-        steps=steps,
-        objective=objective,
+        rel_range=run["rel_range"],
+        steps=run["steps"],
+        objective=run["objective"],
     )
     _write_csv(
         os.path.join(out, "sweep.csv"),
@@ -437,17 +470,7 @@ def _cmd_sweep(args) -> int:
             for r in rows
         ],
     )
-    _echo_config(
-        out,
-        {
-            "subcommand": "sweep",
-            "log": args.log,
-            "rel_range": rel_range,
-            "steps": steps,
-            "objective": objective,
-            **cfgmod.experiment_to_dict(config),
-        },
-    )
+    _echo_config(out, _effective(run, config))
     return 0
 
 
@@ -524,14 +547,7 @@ def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: 
     if fmt in ("report", "both"):
         simulate.write_report(report, os.path.join(out, "report.json"))
     if fmt in ("csv", "both"):
-        _write_csv(
-            os.path.join(out, "reliability.csv"),
-            ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
-            [
-                [b.lo, b.hi, b.count, b.mean_conf, b.accuracy]
-                for b in report.calibration.bins
-            ],
-        )
+        _write_reliability(out, report.calibration.bins)
         _write_csv(
             os.path.join(out, "guard_outcomes.csv"),
             ["clip_id", "p_artifact", "triggered", "used_sr", "final_confidence"],
@@ -544,119 +560,55 @@ def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: 
 
 
 def _cmd_simulate(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    seed = _pick(args, filecfg, "seed", None, int | None)
+    config, run = _configure(args)
+    seed = run["seed"]
     if seed is None:
         raise ValueError("--seed is required for simulate")
-    policy = _pick(args, filecfg, "policy", "gate_adaptive", str)
-    n_per_class = _pick(args, filecfg, "n_per_class", 200, int)
-    subjects = _pick(args, filecfg, "subjects", simulate.PINNED_SUBJECTS, int)
     out = _outdir(args)
-
-    recs = simulate.sample_stream(config.scenario.model, n_per_class, subjects, seed)
+    recs = simulate.sample_stream(config.scenario.model, run["n_per_class"], run["subjects"], seed)
     records.write_log(recs, os.path.join(out, "stream.log"))
-    report, outcomes = simulate.run_experiment_with_outcomes(recs, policy, config, seed)
-    effective = {
-        "subcommand": "simulate",
-        "policy": policy,
-        "seed": seed,
-        "n_per_class": n_per_class,
-        "subjects": subjects,
-        **cfgmod.experiment_to_dict(config),
-    }
-    _write_experiment_outputs(out, report, outcomes, effective, args.format or "both")
+    report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
+    _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
     return 0
 
 
 def _cmd_loso_eval(args) -> int:
-    filecfg = _load_config_file(args.config)
-    config = _experiment_config(args, filecfg)
-    # log evaluation scores records as they stand: each synthetic SR effect
-    # is off unless a flag, a flat key or a whole config sets it, unlike
-    # simulate
-    unset = [] if _is_whole(filecfg) else [
-        key
-        for key in ("uplift", "hallucination")
-        if getattr(args, key) is None and key not in filecfg
-    ]
-    if unset:
-        effect = replace(config.scenario.sr_effect, **{f"{key}_enabled": False for key in unset})
-        config = config.with_overrides(scenario=replace(config.scenario, sr_effect=effect))
-    seed = _pick(args, filecfg, "seed", None, int | None)
+    config, run = _configure(args)
+    seed = run["seed"]
     if seed is None:
         raise ValueError("--seed is required for loso-eval")
-    policy = _pick(args, filecfg, "policy", "gate_adaptive", str)
     recs = records.ingest_log(args.log, strict=args.strict)
     out = _outdir(args)
-    report, outcomes = simulate.run_experiment_with_outcomes(recs, policy, config, seed)
-    effective = {
-        "subcommand": "loso-eval",
-        "log": args.log,
-        "policy": policy,
-        "seed": seed,
-        **cfgmod.experiment_to_dict(config),
-    }
-    _write_experiment_outputs(out, report, outcomes, effective, args.format or "both")
+    report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
+    _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
     return 0
 
 
 # --- parser ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--config", help="JSON config file; flags win over its values")
-    p.add_argument("--strict", action="store_true", help="reject unknown log keys")
+_COMMANDS = {
+    "quality": ("pixel statistics for PGM images", _cmd_quality),
+    "gate": ("per-record SR-level decisions", _cmd_gate),
+    "calibrate": ("calibration report with bootstrap CIs", _cmd_calibrate),
+    "guard": ("artifact-guard outcomes per record", _cmd_guard),
+    "sweep": ("threshold sensitivity sweep", _cmd_sweep),
+    "pareto": ("frontier and relative efficiency table", _cmd_pareto),
+    "simulate": ("synthetic stream + policy experiment", _cmd_simulate),
+    "loso-eval": ("policy experiment over an ingested log", _cmd_loso_eval),
+}
 
 
-def _add_threshold_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-low", type=float, dest="tau_low")
-    p.add_argument("--tau-high", type=float, dest="tau_high")
-    p.add_argument("--critical-cut", type=float, dest="critical_cut")
-
-
-def _add_utility_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", type=float, dest="lambda")
-    p.add_argument("--w-crit", type=float, dest="w_crit")
-
-
-def _add_adaptive_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau-base", type=float, dest="tau_base")
-    p.add_argument("--alpha-blur", type=float, dest="alpha_blur")
-    p.add_argument("--alpha-light", type=float, dest="alpha_light")
-    p.add_argument("--blur-ref", type=float, dest="blur_ref")
-
-
-def _add_guard_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--guard", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--guard-threshold", type=float, dest="guard_threshold")
-    p.add_argument("--guard-discount", type=float, dest="guard_discount")
-    p.add_argument(
-        "--guard-absolute",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="guard_absolute",
-        help="subtract the discount instead of scaling by it",
-    )
-
-
-def _add_metric_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bins", type=int)
-    p.add_argument("--resamples", type=int)
-    p.add_argument("--ci-level", type=float, dest="ci_level")
-    p.add_argument(
-        "--format",
-        choices=("csv", "report", "both"),
-        default=None,
-        help="emit plot-data CSVs, the full report, or both (default)",
-    )
-
-
-def _add_scenario_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--uplift", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument(
-        "--hallucination", action=argparse.BooleanOptionalAction, default=None
-    )
+def _add_flag(p: argparse.ArgumentParser, option: _Option) -> None:
+    flag = "--" + option.key.replace("_", "-")
+    if option.kind is bool:
+        p.add_argument(
+            flag, dest=option.key, action=argparse.BooleanOptionalAction, default=None,
+            help=option.help,
+        )
+    else:
+        # a flag gives a value; a config file may also give null (seed)
+        kind = get_args(option.kind)[0] if get_args(option.kind) else option.kind
+        p.add_argument(flag, dest=option.key, type=kind, choices=option.choices, help=option.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,87 +617,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resource-aware SR gating, calibration, and guard toolkit",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parsers = {}
+    for name, (help_text, fn) in _COMMANDS.items():
+        parsers[name] = p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        if name not in ("quality", "pareto", "simulate"):
+            p.add_argument("--log", required=True)
 
-    p = sub.add_parser("quality", help="pixel statistics for PGM images")
+    p = parsers["quality"]
     p.add_argument("images", nargs="+", help="P2/P5 PGM files")
     p.add_argument("--ssim-ref", dest="ssim_ref", help="reference image for SSIM")
     p.add_argument("--clip", action="store_true", help="treat inputs as one ordered clip")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_quality)
 
-    p = sub.add_parser("gate", help="per-record SR-level decisions")
-    p.add_argument("--log", required=True)
-    p.add_argument("--adaptive", action=argparse.BooleanOptionalAction, default=None)
-    _add_threshold_opts(p)
-    _add_adaptive_opts(p)
-    _add_utility_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_gate)
-
-    p = sub.add_parser("calibrate", help="calibration report with bootstrap CIs")
-    p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int)
-    _add_metric_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_calibrate)
-
-    p = sub.add_parser("guard", help="artifact-guard outcomes per record")
-    p.add_argument("--log", required=True)
-    _add_threshold_opts(p)
-    _add_guard_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_guard)
-
-    p = sub.add_parser("sweep", help="threshold sensitivity sweep")
-    p.add_argument("--log", required=True)
-    p.add_argument("--rel-range", type=float, dest="rel_range")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--objective", choices=("outcome", "heuristic"))
-    _add_threshold_opts(p)
-    _add_utility_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("pareto", help="frontier and relative efficiency table")
+    p = parsers["pareto"]
     p.add_argument("--points", required=True, help="CSV: name,accuracy,cost,fps,power")
     p.add_argument("--baseline", help="baseline method name (default: first row)")
     p.add_argument("--ref", help="normalization reference (default: first non-baseline with nonzero efficiency)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_pareto)
 
-    p = sub.add_parser("simulate", help="synthetic stream + policy experiment")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--policy", choices=cfgmod.POLICIES)
-    p.add_argument("--n-per-class", type=int, dest="n_per_class")
-    p.add_argument("--subjects", type=int)
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; evaluation is serial"
-    )
-    _add_threshold_opts(p)
-    _add_adaptive_opts(p)
-    _add_utility_opts(p)
-    _add_guard_opts(p)
-    _add_metric_opts(p)
-    _add_scenario_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("loso-eval", help="policy experiment over an ingested log")
-    p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--policy", choices=cfgmod.POLICIES)
-    p.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; evaluation is serial"
-    )
-    _add_threshold_opts(p)
-    _add_adaptive_opts(p)
-    _add_utility_opts(p)
-    _add_guard_opts(p)
-    _add_metric_opts(p)
-    _add_scenario_opts(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_loso_eval)
-
+    parsers["gate"].add_argument("--adaptive", action=argparse.BooleanOptionalAction, default=None)
+    for name in _METRICS:
+        parsers[name].add_argument(
+            "--format",
+            choices=("csv", "report", "both"),
+            default="both",
+            help="emit plot-data CSVs, the full report, or both (default)",
+        )
+    for name in _EXPERIMENT:
+        parsers[name].add_argument(
+            "--threads", type=int, default=1, help="accepted and ignored; evaluation is serial"
+        )
+    for option in _OPTIONS:
+        for name in option.commands:
+            _add_flag(parsers[name], option)
+    for p in parsers.values():
+        p.add_argument("--out", help="output directory (default: current)")
+        p.add_argument("--config", help="JSON config file; flags win over its values")
+        p.add_argument("--strict", action="store_true", help="reject unknown log keys")
     return parser
 
 
@@ -760,12 +667,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"srgate: invalid option value: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except _VALIDATION_ERRORS as exc:
-        print(f"srgate: data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
     except (err.IoFailure, OSError) as exc:
         print(f"srgate: i/o error: {exc}", file=sys.stderr)
         return IO_EXIT
+    except err.SrgateError as exc:
+        print(f"srgate: data error: {exc}", file=sys.stderr)
+        return DATA_EXIT
 
 
 def main() -> None:

@@ -162,6 +162,9 @@ def gate_adaptive(
 
 # --- realized-utility objective over threshold grids --------------------------
 
+# the two scorings of the accuracy-gain term (see utility_matrix)
+OBJECTIVES = ("outcome", "heuristic")
+
 def utility_matrix(
     records: Sequence[PredictionRecord] | RecordArrays,
     params: UtilityParams,
@@ -176,7 +179,7 @@ def utility_matrix(
     realized error (labels are known here); 'heuristic' falls back to the
     1-p expectation for label-free logs.
     """
-    if objective not in ("outcome", "heuristic"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     a = records if isinstance(records, RecordArrays) else record_arrays(records)
     factor = (1.0 - a.correct.astype(np.float64)) if objective == "outcome" else 1.0 - a.confidence
@@ -255,7 +258,7 @@ def check_sweep_settings(rel_range, steps, objective: str) -> None:
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if rel_range != 0.0 and not 2 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}")
-    if objective not in ("outcome", "heuristic"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
 
 

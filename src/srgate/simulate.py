@@ -37,9 +37,10 @@ from .errors import (
     TooFewSubjects,
 )
 from .gating import gate, gate_adaptive
-from .guard import apply_guard
+from .guard import GuardOutcome, apply_guard
 from .records import (
     CLASSES,
+    CRITICAL_IDS,
     NUM_CLASSES,
     PredictionRecord,
     RecordArrays,
@@ -176,90 +177,34 @@ def _rebuild(
     )
 
 
-def _evaluate_record(
-    r: PredictionRecord, index: int, policy: str, config: ExperimentConfig, seed: int
-) -> EvalOutcome:
-    if policy == "fixed_none":
-        level = SRLevel.NONE
-    elif policy == "fixed_4x":
-        level = SRLevel.X4
-    elif policy == "gate":
-        level = gate(r.confidence, r.criticality, config.thresholds).level
-    elif policy == "gate_adaptive":
-        level = gate_adaptive(
-            r, config.thresholds, config.adaptive, config.utility, config.costs
-        ).level
-    else:
-        raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
+# The SR level each policy picks for a record. gate and gate_adaptive are
+# looked up by name at each call, not bound here, so replacing the module's
+# attribute (to count or time the calls) takes effect.
+_POLICY_LEVELS = {
+    "fixed_none": lambda r, c: SRLevel.NONE,
+    "fixed_4x": lambda r, c: SRLevel.X4,
+    "gate": lambda r, c: gate(r.confidence, r.criticality, c.thresholds).level,
+    "gate_adaptive": lambda r, c: gate_adaptive(
+        r, c.thresholds, c.adaptive, c.utility, c.costs
+    ).level,
+}
 
-    if level == SRLevel.NONE:
-        return EvalOutcome(final=r, level=level, used_sr=False, triggered=False, p_artifact=None)
 
-    effect = config.scenario.sr_effect
-    model = config.scenario.model
+def guard_outcome(
+    r: PredictionRecord, level: SRLevel, p_artifact: float | None, config: ExperimentConfig
+) -> GuardOutcome:
+    """The run's guard on one record enhanced at `level`, given its artifact
+    probability: revert-and-discount when the guard is on and the score is
+    over the threshold. With the guard off or no score, the SR output stands.
 
-    if not effect.hallucination_enabled and not effect.uplift_enabled:
-        # log-driven mode: score the record as it stands, guarding on any
-        # artifact probability the upstream detector recorded
-        p_artifact = r.artifact_score
-        if not config.guard_enabled or p_artifact is None:
-            return EvalOutcome(
-                final=r, level=level, used_sr=True, triggered=False, p_artifact=p_artifact
-            )
-        outcome = apply_guard(
-            p_artifact,
-            level,
-            r.confidence,
-            threshold=config.guard_threshold,
-            discount=config.guard_discount,
-            relative_discount=config.guard_relative,
+    On revert the pipeline classifies the LR input again, so the discount
+    applies to the record's original confidence, not the enhanced one.
+    """
+    if not config.guard_enabled or p_artifact is None:
+        return GuardOutcome(
+            used_sr=True, final_confidence=r.confidence, p_artifact=p_artifact, triggered=False
         )
-        final = (
-            _rebuild(r, r.predicted_class, outcome.final_confidence, p_artifact)
-            if outcome.triggered
-            else r
-        )
-        return EvalOutcome(
-            final=final,
-            level=level,
-            used_sr=outcome.used_sr,
-            triggered=outcome.triggered,
-            p_artifact=p_artifact,
-        )
-
-    rng = np.random.default_rng([seed, index])
-
-    hallucinated = rng.random() < effect.hallucination_rate(level)
-    if hallucinated:
-        target = int(
-            effect.hallucination_targets[rng.integers(0, len(effect.hallucination_targets))]
-        )
-        sr_conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
-        sr_pred = target
-        p_artifact = float(rng.uniform(*effect.hallucinated_score_range))
-    else:
-        p_artifact = float(rng.uniform(*effect.clean_score_range))
-        sr_pred = r.predicted_class
-        sr_conf = r.confidence
-        if effect.uplift_enabled and not r.correct:
-            q = model.p_correct(r.confidence)
-            u = effect.uplift(level, r.true_class)
-            flip_p = q * (u - 1.0) / (1.0 - q + u * q)
-            if rng.random() < flip_p:
-                sr_pred = r.true_class
-
-    if not config.guard_enabled:
-        return EvalOutcome(
-            final=_rebuild(r, sr_pred, sr_conf, p_artifact),
-            level=level,
-            used_sr=True,
-            triggered=False,
-            p_artifact=p_artifact,
-        )
-
-    # On revert the pipeline classifies the LR input again, so the discount
-    # applies to the original confidence, not the enhanced one.
-    probe = apply_guard(
+    return apply_guard(
         p_artifact,
         level,
         r.confidence,
@@ -267,16 +212,53 @@ def _evaluate_record(
         discount=config.guard_discount,
         relative_discount=config.guard_relative,
     )
-    if probe.triggered:
-        final = _rebuild(r, r.predicted_class, probe.final_confidence, p_artifact)
-        return EvalOutcome(
-            final=final, level=level, used_sr=False, triggered=True, p_artifact=p_artifact
-        )
+
+
+def _evaluate_record(
+    r: PredictionRecord, index: int, level: SRLevel, config: ExperimentConfig, seed: int
+) -> EvalOutcome:
+    if level == SRLevel.NONE:
+        return EvalOutcome(final=r, level=level, used_sr=False, triggered=False, p_artifact=None)
+
+    effect = config.scenario.sr_effect
+    if not effect.hallucination_enabled and not effect.uplift_enabled:
+        # log-driven mode: score the record as it stands, guarding on any
+        # artifact probability the upstream detector recorded
+        sr_pred = None
+        p_artifact = r.artifact_score
+    else:
+        rng = np.random.default_rng([seed, index])
+        hallucinated = rng.random() < effect.hallucination_rate(level)
+        if hallucinated:
+            target = int(
+                effect.hallucination_targets[rng.integers(0, len(effect.hallucination_targets))]
+            )
+            sr_conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
+            sr_pred = target
+            p_artifact = float(rng.uniform(*effect.hallucinated_score_range))
+        else:
+            p_artifact = float(rng.uniform(*effect.clean_score_range))
+            sr_pred = r.predicted_class
+            sr_conf = r.confidence
+            if effect.uplift_enabled and not r.correct:
+                q = config.scenario.model.p_correct(r.confidence)
+                u = effect.uplift(level, r.true_class)
+                flip_p = q * (u - 1.0) / (1.0 - q + u * q)
+                if rng.random() < flip_p:
+                    sr_pred = r.true_class
+
+    outcome = guard_outcome(r, level, p_artifact, config)
+    if outcome.triggered:
+        final = _rebuild(r, r.predicted_class, outcome.final_confidence, p_artifact)
+    elif sr_pred is None:
+        final = r
+    else:
+        final = _rebuild(r, sr_pred, sr_conf, p_artifact)
     return EvalOutcome(
-        final=_rebuild(r, sr_pred, sr_conf, p_artifact),
+        final=final,
         level=level,
-        used_sr=True,
-        triggered=False,
+        used_sr=outcome.used_sr,
+        triggered=outcome.triggered,
         p_artifact=p_artifact,
     )
 
@@ -292,8 +274,11 @@ def evaluate_records(
     Output order matches input order; each record's stochastic effects
     draw from a substream keyed by its position alone.
     """
+    level_of = _POLICY_LEVELS.get(policy)
+    if level_of is None:
+        raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
     return [
-        _evaluate_record(r, i, policy, config, seed) for i, r in enumerate(records)
+        _evaluate_record(r, i, level_of(r, config), config, seed) for i, r in enumerate(records)
     ]
 
 
@@ -316,6 +301,24 @@ def count_critical_fp(
 
 
 # --- experiment report ------------------------------------------------------------------
+
+# the bootstrap CIs of a run's pooled report: ECE, and AUPR of each critical class
+CI_METRICS = ("ece", *(f"aupr:{k}" for k in sorted(CRITICAL_IDS)))
+
+
+def pooled_calibration(
+    records: Sequence[PredictionRecord], config: ExperimentConfig, seed: int
+) -> CalibrationReport:
+    """The calibration report of all of a run's records, with the CI_METRICS
+    intervals when ``config.resamples`` > 0."""
+    return calibration_report(
+        records,
+        bins=config.bins,
+        ci_metrics=CI_METRICS if config.resamples > 0 else None,
+        n_resamples=config.resamples,
+        level=config.ci_level,
+        seed=seed,
+    )
 
 @dataclass(frozen=True)
 class GuardStats:
@@ -396,16 +399,7 @@ def run_experiment_with_outcomes(
     outcomes = evaluate_records(records, policy, config, seed)
     final_records = [o.final for o in outcomes]
 
-    critical_ids = sorted(c.id for c in CLASSES if c.critical)
-    ci_metrics = ["ece"] + [f"aupr:{k}" for k in critical_ids]
-    pooled = calibration_report(
-        final_records,
-        bins=config.bins,
-        ci_metrics=ci_metrics if config.resamples > 0 else None,
-        n_resamples=max(config.resamples, 1),
-        level=config.ci_level,
-        seed=seed,
-    )
+    pooled = pooled_calibration(final_records, config, seed)
 
     # built after the report, which holds its own arrays only while it runs
     arrays = record_arrays(final_records)

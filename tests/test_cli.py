@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record
-from srgate import quality
+from srgate import errors, quality, records
 from srgate.cli import run_cli
 from srgate.config import ExperimentConfig
 from srgate.records import record_to_obj, write_log
@@ -403,6 +403,78 @@ def test_config_file_not_utf8_exits_2_naming_file(stream_log, tmp_path, capsys):
 @pytest.mark.parametrize(
     "subcommand,filecfg,key",
     [
+        ("gate", {"tau_lo": 0.3}, "tau_lo"),
+        ("gate", {"tau_low": 0.3, "bogus_key": 1}, "bogus_key"),
+        ("calibrate", {"seed": 3, "guard_enabled_": False}, "guard_enabled_"),
+        ("simulate", {"seed": 3, "n_per_class": 5, "subjects": 3, "resample": 0}, "resample"),
+    ],
+)
+def test_config_key_no_subcommand_reads_exits_2_naming_it(
+    stream_log, tmp_path, capsys, subcommand, filecfg, key
+):
+    out = tmp_path / "o"
+    argv = _argv(subcommand, stream_log, str(out)) + ["--config", _write_config(tmp_path, filecfg)]
+    assert run_cli(argv) == 2
+    assert f"config key {key!r} is read by no subcommand" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_whole_config_with_unknown_top_level_key_exits_2_naming_it(stream_log, tmp_path, capsys):
+    full = dict(_whole_config(stream_log, tmp_path), bogus_key=1)
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, full)]
+    assert run_cli(argv) == 2
+    assert "'bogus_key'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flat_config_keys_of_other_subcommands_are_accepted(stream_log, tmp_path):
+    cfg = _write_config(tmp_path, {"tau_low": 0.5, "steps": 3, "n_per_class": 5, "guard": False})
+    out = tmp_path / "o"
+    assert run_cli(_argv("gate", stream_log, str(out)) + ["--config", cfg]) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert echo["thresholds"]["tau_low"] == 0.5 and "steps" not in echo
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["top-level", "nested"])
+def test_config_key_given_twice_exits_2_naming_it(stream_log, tmp_path, capsys, nested):
+    if nested:
+        text = json.dumps(_whole_config(stream_log, tmp_path))
+        text = text.replace('"thresholds": {', '"thresholds": {"tau_low": 0.2, ', 1)
+    else:
+        text = '{"tau_low": 0.1, "tau_high": 0.9, "tau_low": 0.5}'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(_argv("loso-eval", stream_log, str(out)) + ["--config", str(cfg)]) == 2
+    assert f"{cfg}: config key 'tau_low' is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _error_classes(base=errors.SrgateError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+@pytest.mark.parametrize("cls", [errors.SrgateError, *_error_classes()], ids=lambda c: c.__name__)
+def test_every_srgate_error_exits_3_or_4_without_a_traceback(
+    stream_log, tmp_path, monkeypatch, capsys, cls
+):
+    exc = cls(2, "boom") if issubclass(cls, errors.MalformedRecord) else cls("boom")
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(records, "ingest_log", fail)
+    code = run_cli(["gate", "--log", stream_log, "--out", str(tmp_path / "o")])
+    assert code == (4 if issubclass(cls, errors.IoFailure) else 3)
+    assert "boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand,filecfg,key",
+    [
         ("simulate", {"seed": 4.7}, "seed"),
         ("simulate", {"seed": True}, "seed"),
         ("simulate", {"seed": "7"}, "seed"),
@@ -413,6 +485,7 @@ def test_config_file_not_utf8_exits_2_naming_file(stream_log, tmp_path, capsys):
         ("loso-eval", {"policy": ["gate"]}, "policy"),
         ("calibrate", {"seed": "3"}, "seed"),
         ("calibrate", {"seed": 3.0}, "seed"),
+        ("simulate", {"policy": "gate_fancy"}, "policy"),
     ],
 )
 def test_bad_run_level_key_exits_2_naming_key(stream_log, tmp_path, capsys, subcommand, filecfg, key):
@@ -582,6 +655,27 @@ def test_guard_subcommand_outcomes(tmp_path):
     assert rows["clean"]["triggered"] == "False"
     assert rows["skip"]["level"] == "none"
     assert rows["skip"]["artifact_label"] == "True"
+
+
+@pytest.mark.parametrize("switch", [["--no-guard"], {"guard": False}], ids=["flag", "flat-key"])
+def test_guard_off_keeps_every_enhanced_record(tmp_path, switch):
+    recs = [
+        make_record(confidence=0.55, predicted=0, true_class=0, clip="sr",
+                    artifact_score=0.8, subject="S01"),
+    ]
+    log = tmp_path / "g.log"
+    write_log(recs, str(log))
+    out = tmp_path / "out"
+    argv = ["guard", "--log", str(log), "--out", str(out)]
+    if isinstance(switch, dict):
+        argv += ["--config", _write_config(tmp_path, switch)]
+    else:
+        argv += switch
+    assert run_cli(argv) == 0
+    row = _read_csv(out / "guard.csv")[0]
+    assert row["level"] != "none"
+    assert (row["triggered"], row["used_sr"], row["final_confidence"]) == ("False", "True", "0.55")
+    assert json.loads((out / "effective_config.json").read_text())["guard_enabled"] is False
 
 
 def test_sweep_csv_columns(stream_log, tmp_path):
