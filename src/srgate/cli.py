@@ -7,8 +7,12 @@ and the subcommands that take it. Flags win over file values, file values
 win over defaults; a file key that no subcommand reads, or one given twice,
 is a usage error.
 Every run writes its resolved configuration to ``effective_config.json``
-in the output directory; feeding that file back via ``--config``
-reproduces the run. All randomness flows from ``--seed``.
+in the output directory; ``calibrate``, ``simulate`` and ``loso-eval``
+create that directory only once their computation has returned, so a
+failed run leaves no files. The subcommands in ``_OPTIONS`` take
+``--config``, and feeding the echo back through it reproduces the run;
+those that read a ``--log`` take ``--strict``. All randomness flows from
+``--seed``.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 I/O error.
 """
@@ -330,11 +334,17 @@ def _cmd_quality(args) -> int:
 
 
 def _decision_rows(recs, config, adaptive: bool):
-    """One decisions.csv row per record, yielded as it is decided."""
+    """One decisions.csv row per record, yielded as it is decided. The
+    adaptive gate's rows carry the expected-utility audit of each level;
+    the fixed gate's rows carry zeros there."""
     t = config.thresholds
+    utilities = (0.0, 0.0, 0.0)
     for r in recs:
         if adaptive:
-            d = gating.gate_adaptive(r, t, config.adaptive, config.utility, config.costs)
+            d = gating.gate_adaptive(r, t, config.adaptive)
+            utilities = gating.utilities_by_level(
+                r.predicted_class, r.confidence, r.criticality, config.utility, config.costs
+            )
         else:
             d = gating.gate(r.confidence, r.criticality, t)
         yield (
@@ -345,7 +355,7 @@ def _decision_rows(recs, config, adaptive: bool):
             d.level.label,
             d.reason.value,
             d.tau_used,
-            *d.utility_by_level,
+            *utilities,
         )
 
 
@@ -379,9 +389,8 @@ def _cmd_calibrate(args) -> int:
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
     recs = records.ingest_log(args.log, strict=args.strict)
-    out = _outdir(args)
-
     report = simulate.pooled_calibration(recs, config, 0 if seed is None else seed)
+    out = _outdir(args)
     effective = _effective(run, config)
     if args.format in ("report", "both"):
         _write_json(
@@ -486,7 +495,7 @@ def _read_points(path: str) -> list[costmod.MethodPoint]:
                         accuracy=float(row["accuracy"]),
                         cost=float(row["cost"]),
                         fps=float(row["fps"]),
-                        power_w=float(row.get("power") or row["power_w"]),
+                        power_w=float(row["power"]),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -564,10 +573,10 @@ def _cmd_simulate(args) -> int:
     seed = run["seed"]
     if seed is None:
         raise ValueError("--seed is required for simulate")
-    out = _outdir(args)
     recs = simulate.sample_stream(config.scenario.model, run["n_per_class"], run["subjects"], seed)
-    records.write_log(recs, os.path.join(out, "stream.log"))
     report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
+    out = _outdir(args)
+    records.write_log(recs, os.path.join(out, "stream.log"))
     _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
     return 0
 
@@ -578,8 +587,8 @@ def _cmd_loso_eval(args) -> int:
     if seed is None:
         raise ValueError("--seed is required for loso-eval")
     recs = records.ingest_log(args.log, strict=args.strict)
-    out = _outdir(args)
     report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
+    out = _outdir(args)
     _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
     return 0
 
@@ -617,12 +626,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Resource-aware SR gating, calibration, and guard toolkit",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    configured = {name for option in _OPTIONS for name in option.commands}
     parsers = {}
     for name, (help_text, fn) in _COMMANDS.items():
         parsers[name] = p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        p.add_argument("--out", help="output directory (default: current)")
+        if name in configured:
+            p.add_argument("--config", help="JSON config file; flags win over its values")
         if name not in ("quality", "pareto", "simulate"):
             p.add_argument("--log", required=True)
+            p.add_argument("--strict", action="store_true", help="reject unknown log keys")
 
     p = parsers["quality"]
     p.add_argument("images", nargs="+", help="P2/P5 PGM files")
@@ -649,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     for option in _OPTIONS:
         for name in option.commands:
             _add_flag(parsers[name], option)
-    for p in parsers.values():
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--config", help="JSON config file; flags win over its values")
-        p.add_argument("--strict", action="store_true", help="reject unknown log keys")
     return parser
 
 

@@ -16,6 +16,7 @@ from . import schema
 from .costs import CostProfile
 from .errors import InvalidModelParams
 from .gating import AdaptiveTauConfig, Thresholds
+from .guard import DEFAULT_DISCOUNT, DEFAULT_TRIGGER
 from .records import (
     CLASS_NAMES,
     NUM_CLASSES,
@@ -188,8 +189,8 @@ class ExperimentConfig:
     costs: CostProfile = field(default_factory=CostProfile)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     guard_enabled: bool = True
-    guard_threshold: float = 0.5
-    guard_discount: float = 0.15
+    guard_threshold: float = DEFAULT_TRIGGER
+    guard_discount: float = DEFAULT_DISCOUNT
     guard_relative: bool = True
     bins: int = 10
     resamples: int = 1000

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInput, ZeroNormalizer
-from .records import GateDecision, SRLevel
+from .records import SRLevel
 
 COST_DIMENSIONS = ("gflops", "latency_ms", "power_w")
 
@@ -98,20 +98,14 @@ class CostSummary:
         return self.total_gflops / self.n
 
 
-def _level_of(item: GateDecision | SRLevel) -> SRLevel:
-    return item.level if isinstance(item, GateDecision) else SRLevel(item)
-
-
-def accumulate_cost(
-    decisions: Iterable[GateDecision | SRLevel] | np.ndarray, profile: CostProfile
-) -> CostSummary:
+def accumulate_cost(levels: Iterable[SRLevel] | np.ndarray, profile: CostProfile) -> CostSummary:
     """Sum the per-record cost of each chosen level (base + increment).
 
-    `decisions` may also be an integer array of level values.
+    `levels` may also be an integer array of level values.
     """
-    if not isinstance(decisions, np.ndarray):
-        decisions = np.fromiter((int(_level_of(d)) for d in decisions), dtype=np.int64)
-    counts = np.bincount(decisions, minlength=len(SRLevel)).tolist()
+    if not isinstance(levels, np.ndarray):
+        levels = np.fromiter((int(SRLevel(level)) for level in levels), dtype=np.int64)
+    counts = np.bincount(levels, minlength=len(SRLevel)).tolist()
     if len(counts) != len(SRLevel):
         raise ValueError(f"level values must lie in 0..{len(SRLevel) - 1}")
     n = sum(counts)

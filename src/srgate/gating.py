@@ -113,19 +113,17 @@ def _gate_scalar(
 
 
 def gate(p: float, c: int, t: Thresholds) -> GateDecision:
-    """Apply the threshold policy to one record.
-
-    Utility audit entries are zero here; use gate_adaptive (or
-    utilities_by_level) when the expected-utility evidence is wanted.
-    """
+    """Apply the threshold policy to one record, with `t.tau_high` as the
+    high threshold."""
     level, reason = _gate_scalar(p, c, t.tau_low, t.tau_high, t.critical_cut)
-    return GateDecision(level=level, tau_used=t.tau_high, utility_by_level=(0.0, 0.0, 0.0), reason=reason)
+    return GateDecision(level=level, tau_used=t.tau_high, reason=reason)
 
 
 def utilities_by_level(
     class_id: int, p: float, c: int, params: UtilityParams, costs: CostProfile
 ) -> tuple[float, float, float]:
-    """Per-level expected utility for the audit trail (NONE is always 0).
+    """Per-level expected utility, the audit that `gate --adaptive` writes
+    beside each decision (NONE is always 0).
 
     Equal, bit for bit, to ``expected_utility(delta_acc_estimate(...),
     params.weight(c), costs.utility_cost(level), params.lam)`` per level,
@@ -143,21 +141,14 @@ def utilities_by_level(
     )
 
 
-def gate_adaptive(
-    r: PredictionRecord,
-    t: Thresholds,
-    cfg: AdaptiveTauConfig,
-    params: UtilityParams,
-    costs: CostProfile,
-) -> GateDecision:
-    """Threshold gate with the quality-adaptive high threshold and a filled
-    utility audit trail."""
+def gate_adaptive(r: PredictionRecord, t: Thresholds, cfg: AdaptiveTauConfig) -> GateDecision:
+    """Threshold gate with the high threshold adapted to the record's blur
+    and lighting; `tau_used` is that adapted threshold."""
     tau_eff = adaptive_tau(cfg, normalize_blur(r.blur, cfg.blur_ref), r.lighting)
     level, reason = _gate_scalar(
         r.confidence, r.criticality, t.tau_low, tau_eff, t.critical_cut
     )
-    utils = utilities_by_level(r.predicted_class, r.confidence, r.criticality, params, costs)
-    return GateDecision(level=level, tau_used=tau_eff, utility_by_level=utils, reason=reason)
+    return GateDecision(level=level, tau_used=tau_eff, reason=reason)
 
 
 # --- realized-utility objective over threshold grids --------------------------
@@ -215,7 +206,7 @@ def optimize_thresholds(
     params: UtilityParams,
     costs: CostProfile,
     grid_step: float = 0.05,
-    critical_cut: float = 0.70,
+    critical_cut: float = Thresholds.critical_cut,
     objective: str = "outcome",
 ) -> OptimizeResult:
     """Exhaustive grid search maximizing mean realized utility.

@@ -71,13 +71,9 @@ def apply_guard(
     )
 
 
-def artifact_score_heuristic(
-    clip_sr: Clip,
-    clip_lr_upsampled: Clip,
-    w_temporal: float = 0.5,
-    w_structural: float = 0.5,
-) -> float:
-    """Detector stand-in: temporal churn plus divergence from the LR upsample.
+def artifact_score_heuristic(clip_sr: Clip, clip_lr_upsampled: Clip) -> float:
+    """Detector stand-in: the mean of temporal churn and divergence from the
+    LR upsample, clamped to [0,1].
 
     Static, faithful enhancements score 0; flicker or content not present
     in the upsampled LR reference pushes the score toward 1.
@@ -96,5 +92,5 @@ def artifact_score_heuristic(
             ]
         )
     )
-    score = w_temporal * temporal_inconsistency(clip_sr) + w_structural * structural
+    score = 0.5 * temporal_inconsistency(clip_sr) + 0.5 * structural
     return min(1.0, max(0.0, score))

@@ -76,17 +76,15 @@ class GrayImage:
 
 @dataclass(frozen=True)
 class Clip:
-    """Ordered frames sharing one resolution; fps is metadata only."""
+    """Ordered frames sharing one resolution. Only their order matters:
+    temporal statistics compare consecutive frames, whatever the frame rate."""
 
     frames: tuple[GrayImage, ...]
-    fps: float = 30.0
 
     def __post_init__(self):
         frames = tuple(self.frames)
         if not frames:
             raise ValueError("clip needs at least one frame")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
         first = frames[0]
         for f in frames[1:]:
             if not f.same_shape(first):

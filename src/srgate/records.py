@@ -142,15 +142,13 @@ class Violation:
         return f"{self.field}: {self.rule}"
 
 
-def validate_record(
-    r: PredictionRecord, classes: Sequence[BehaviorClass] = CLASSES
-) -> list[Violation]:
+def validate_record(r: PredictionRecord) -> list[Violation]:
     """Check every type invariant; an empty list means the record is valid.
 
     Violations are data, not faults: callers decide whether to raise.
     """
     out: list[Violation] = []
-    k = len(classes)
+    k = NUM_CLASSES
     # A range test written as one chained comparison is False for NaN, and an
     # infinite bound makes it reject infinities too.
     if not r.subject_id:
@@ -345,16 +343,15 @@ def subjects_of(records: Sequence[PredictionRecord]) -> list[str]:
 
 @dataclass(frozen=True)
 class GateDecision:
-    """Chosen SR level plus the evidence that produced it.
+    """Chosen SR level, the high threshold it was decided against, and the
+    policy branch that chose it.
 
-    `utility_by_level` is audit data (one entry per SRLevel, NONE first);
-    the plain threshold gate fills zeros, the utility-aware path fills the
-    per-level expected utilities actually computed.
+    The expected-utility audit is not part of a decision: only the outputs
+    that write it compute it, with `gating.utilities_by_level`.
     """
 
     level: SRLevel
     tau_used: float
-    utility_by_level: tuple[float, float, float]
     reason: GateReason
 
 

@@ -184,9 +184,7 @@ _POLICY_LEVELS = {
     "fixed_none": lambda r, c: SRLevel.NONE,
     "fixed_4x": lambda r, c: SRLevel.X4,
     "gate": lambda r, c: gate(r.confidence, r.criticality, c.thresholds).level,
-    "gate_adaptive": lambda r, c: gate_adaptive(
-        r, c.thresholds, c.adaptive, c.utility, c.costs
-    ).level,
+    "gate_adaptive": lambda r, c: gate_adaptive(r, c.thresholds, c.adaptive).level,
 }
 
 
@@ -395,7 +393,10 @@ def run_experiment_with_outcomes(
         if violations:
             raise MalformedRecord(i + 1, "; ".join(str(v) for v in violations))
 
-    folds = loso_splits(records)
+    # one fold per subject, in sorted order, scoring that subject's rows
+    subjects, groups = calibration.subject_groups(records)
+    if len(subjects) < 2:
+        raise TooFewSubjects(f"need >= 2 subjects, got {len(subjects)}")
     outcomes = evaluate_records(records, policy, config, seed)
     final_records = [o.final for o in outcomes]
 
@@ -418,15 +419,12 @@ def run_experiment_with_outcomes(
     )
     cost = accumulate_cost(levels, config.costs)
 
-    subjects, groups = calibration.subject_groups(records)
     fold_results = []
-    for fold, subject, idx in zip(folds, subjects, groups, strict=True):
-        # both list subjects in sorted order; a fold scores its own subject's rows
-        assert fold.test_subject == subject, (fold.test_subject, subject)
+    for subject, idx in zip(subjects, groups):
         rows = RecordArrays(*(column[idx] for column in arrays))
         fold_results.append(
             FoldResult(
-                test_subject=fold.test_subject,
+                test_subject=subject,
                 n=len(idx),
                 accuracy=calibration.accuracy(rows),
                 ece=calibration.ece(rows, config.bins),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import tempfile
@@ -10,8 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record
-from srgate import errors, quality, records
-from srgate.cli import run_cli
+from srgate import errors, gating, quality, records
+from srgate.cli import build_parser, run_cli
 from srgate.config import ExperimentConfig
 from srgate.records import record_to_obj, write_log
 from srgate.simulate import sample_stream
@@ -848,3 +849,125 @@ def test_flag_overrides_config_file(stream_log, tmp_path):
     echo = json.loads((out / "effective_config.json").read_text())
     assert echo["thresholds"]["tau_low"] == 0.5   # from file
     assert echo["thresholds"]["tau_high"] == 0.8  # flag wins
+
+
+# --- the flags each subcommand takes ----------------------------------------------
+
+_LOG_FLAGS = {"--log", "--strict"}
+_THRESHOLD_FLAGS = {"--tau-low", "--tau-high", "--critical-cut"}
+_ADAPTIVE_FLAGS = {"--tau-base", "--alpha-blur", "--alpha-light", "--blur-ref"}
+_UTILITY_FLAGS = {"--lambda", "--w-crit"}
+_GUARD_FLAGS = {
+    "--guard", "--no-guard", "--guard-threshold", "--guard-discount",
+    "--guard-absolute", "--no-guard-absolute",
+}
+_METRIC_FLAGS = {"--bins", "--resamples", "--ci-level", "--seed", "--format"}
+_EXPERIMENT_FLAGS = (
+    _THRESHOLD_FLAGS | _ADAPTIVE_FLAGS | _UTILITY_FLAGS | _GUARD_FLAGS | _METRIC_FLAGS
+    | {"--uplift", "--no-uplift", "--hallucination", "--no-hallucination", "--policy", "--threads"}
+)
+
+# every flag of every subcommand; a flag is added here only with the code that reads it
+SUBCOMMAND_FLAGS = {
+    "quality": {"--out", "--ssim-ref", "--clip"},
+    "gate": {"--out", "--config", "--adaptive", "--no-adaptive"}
+    | _LOG_FLAGS | _THRESHOLD_FLAGS | _ADAPTIVE_FLAGS | _UTILITY_FLAGS,
+    "calibrate": {"--out", "--config"} | _LOG_FLAGS | _METRIC_FLAGS,
+    "guard": {"--out", "--config"} | _LOG_FLAGS | _THRESHOLD_FLAGS | _GUARD_FLAGS,
+    "sweep": {"--out", "--config", "--rel-range", "--steps", "--objective"}
+    | _LOG_FLAGS | _THRESHOLD_FLAGS | _UTILITY_FLAGS,
+    "pareto": {"--out", "--points", "--baseline", "--ref"},
+    "simulate": {"--out", "--config", "--n-per-class", "--subjects"} | _EXPERIMENT_FLAGS,
+    "loso-eval": {"--out", "--config"} | _LOG_FLAGS | _EXPERIMENT_FLAGS,
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert got == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quality", "{pgm}", "--config", "{cfg}"],
+        ["quality", "{pgm}", "--strict"],
+        ["pareto", "--points", "{points}", "--config", "{cfg}"],
+        ["pareto", "--points", "{points}", "--strict"],
+        ["simulate", "--seed", "1", "--n-per-class", "3", "--resamples", "0", "--strict"],
+    ],
+    ids=["quality-config", "quality-strict", "pareto-config", "pareto-strict", "simulate-strict"],
+)
+def test_flag_the_subcommand_never_reads_exits_2(tmp_path, capsys, argv):
+    paths = {
+        "pgm": tmp_path / "a.pgm",
+        "cfg": tmp_path / "cfg.json",
+        "points": tmp_path / "points.csv",
+    }
+    paths["pgm"].write_text("P2\n3 3\n255\n" + " ".join(["10"] * 9) + "\n")
+    paths["cfg"].write_text(json.dumps({"bogus": 1}))
+    paths["points"].write_text("name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\n")
+    argv = [arg.format(**paths) for arg in argv]
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pareto_power_w_column_exits_3_naming_power(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text("name,accuracy,cost,fps,power_w\nbicubic,0.287,1.2,52.4,5.0\n")
+    assert run_cli(["pareto", "--points", str(points), "--out", str(tmp_path / "o")]) == 3
+    assert "'power'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+def test_gate_utility_columns_are_the_audit_of_adaptive_rows_only(stream_log, tmp_path, adaptive):
+    out = tmp_path / "g"
+    flag = "--adaptive" if adaptive else "--no-adaptive"
+    assert run_cli(["gate", "--log", stream_log, flag, "--out", str(out)]) == 0
+    config = ExperimentConfig()
+    recs = records.ingest_log(stream_log)
+    rows = _read_csv(out / "decisions.csv")
+    assert [r["clip_id"] for r in rows] == [r.clip_id for r in recs]
+    for rec, row in zip(recs, rows):
+        if adaptive:
+            want = gating.utilities_by_level(
+                rec.predicted_class, rec.confidence, rec.criticality, config.utility, config.costs
+            )
+        else:
+            want = (0.0, 0.0, 0.0)
+        assert [row["utility_none"], row["utility_2x"], row["utility_4x"]] == list(map(repr, want))
+
+
+def test_failing_simulate_writes_no_output(tmp_path, capsys):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--seed", "1", "--subjects", "1", "--n-per-class", "3", "--resamples", "0"]
+    assert run_cli(argv + ["--out", str(out)]) == 3
+    assert "need >= 2 subjects, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_loso_eval_creates_no_output_directory(tmp_path, capsys):
+    log = tmp_path / "one.log"
+    write_log(sample_stream(ExperimentConfig().scenario.model, 3, 1, seed=1), str(log))
+    out = tmp_path / "eval"
+    assert run_cli(["loso-eval", "--log", str(log), "--seed", "1", "--out", str(out)]) == 3
+    assert "need >= 2 subjects, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failing_calibrate_creates_no_output_directory(tmp_path, capsys):
+    # no record of a critical class, so its AUPR is undefined on every resample
+    log = tmp_path / "noncritical.log"
+    recs = [make_record(subject=f"S{i % 2}", clip=f"c{i}", true_class=i % 2 * 3) for i in range(8)]
+    write_log(recs, str(log))
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--log", str(log), "--seed", "1", "--resamples", "5", "--out", str(out)]
+    assert run_cli(argv) == 3
+    assert "defined resamples" in capsys.readouterr().err
+    assert not out.exists()

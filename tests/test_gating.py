@@ -133,7 +133,7 @@ def test_gate_adaptive_zero_coefficients_equals_plain_gate():
     rng = np.random.default_rng(21)
     for r in random_records(rng, 200):
         plain = gate(r.confidence, r.criticality, T)
-        adap = gate_adaptive(r, T, cfg, U, C)
+        adap = gate_adaptive(r, T, cfg)
         assert adap.level == plain.level
         assert adap.reason == plain.reason
 
@@ -142,17 +142,15 @@ def test_gate_adaptive_raised_tau_pulls_record_into_2x():
     cfg = AdaptiveTauConfig(tau_base=0.85, alpha_blur=0.05, alpha_light=0.0)
     r = make_record(confidence=0.86, predicted=0, true_class=0, blur=1.0, lighting=0.4)
     assert gate(r.confidence, r.criticality, T).level == SRLevel.NONE
-    d = gate_adaptive(r, T, cfg, U, C)
+    d = gate_adaptive(r, T, cfg)
     assert d.tau_used == pytest.approx(0.90, abs=1e-12)
     assert d.level == SRLevel.X2
 
 
 def test_gate_adaptive_none_utility_is_zero():
     rng = np.random.default_rng(22)
-    cfg = AdaptiveTauConfig()
     for r in random_records(rng, 50):
-        d = gate_adaptive(r, T, cfg, U, C)
-        assert d.utility_by_level[0] == 0.0
+        assert utilities_by_level(r.predicted_class, r.confidence, r.criticality, U, C)[0] == 0.0
 
 
 def _odd_gains():
