@@ -315,6 +315,15 @@ def _resolve_metric(
             raise ValueError(f"{metric} needs class_id")
         scores = a.probs[:, class_id]
         labels = a.true_class == class_id
+        # a resample holds only these records, so no draw can define a
+        # ranking metric that the whole set leaves undefined
+        positives = int(np.count_nonzero(labels))
+        if positives == 0 or (metric == "auroc" and positives == labels.size):
+            missing = "positive" if positives == 0 else "negative"
+            raise MetricUndefinedOnResample(
+                f"{metric} of class {class_id}: no {missing} record in the set,"
+                " so no resample is defined (0 defined resamples, no draw made)"
+            )
         if metric == "aupr":
             return _aupr_by_draw(scores, labels, groups)
         return on_resample(lambda idx: auroc_arrays(scores[idx], labels[idx]))
@@ -338,7 +347,10 @@ def bootstrap_ci(
     deterministic substream ``default_rng([seed, k])`` where k counts
     attempts, so results are bit-reproducible and order-independent.
     Resamples on which the metric is undefined (e.g. no positives for AUPR)
-    are skipped and replaced, up to 10x n_resamples attempts.
+    are skipped and replaced, up to 10x n_resamples attempts. An AUPR or
+    AUROC that the whole set leaves undefined (no positive record, or for
+    AUROC no negative) is undefined on every draw, so it raises before the
+    first one.
 
     AUPR resamples are scored as the presorted records weighted by the
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to

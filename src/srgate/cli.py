@@ -7,12 +7,12 @@ and the subcommands that take it. Flags win over file values, file values
 win over defaults; a file key that no subcommand reads, or one given twice,
 is a usage error.
 Every run writes its resolved configuration to ``effective_config.json``
-in the output directory; ``calibrate``, ``simulate`` and ``loso-eval``
-create that directory only once their computation has returned, so a
-failed run leaves no files. The subcommands in ``_OPTIONS`` take
-``--config``, and feeding the echo back through it reproduces the run;
-those that read a ``--log`` take ``--strict``. All randomness flows from
-``--seed``.
+in the output directory; ``quality``, ``calibrate``, ``pareto``,
+``simulate`` and ``loso-eval`` create that directory only once their
+computation has returned, so a failed run leaves no files. The
+subcommands in ``_OPTIONS`` take ``--config``, and feeding the echo back
+through it reproduces the run; those that read a ``--log`` take
+``--strict``. All randomness flows from ``--seed``.
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 I/O error.
 """
@@ -285,24 +285,29 @@ def _write_reliability(out: str, bins) -> None:
 
 # --- subcommand bodies ------------------------------------------------------------
 
+def _ssim(flag: str, a_path: str, a, b_path: str, b) -> float:
+    """``quality.ssim(a, b)``, naming both files if their shapes differ."""
+    try:
+        return quality.ssim(a, b)
+    except err.DimensionMismatch as exc:
+        raise err.DimensionMismatch(f"{flag}: {a_path} vs {b_path}: {exc}") from None
+
+
 def _cmd_quality(args) -> int:
-    out = _outdir(args)
-    loaded: dict[str, quality.GrayImage] = {}
-
-    def load(path: str) -> quality.GrayImage:
-        if path not in loaded:
-            loaded[path] = quality.load_pgm(path)
-        return loaded[path]
-
-    ref = load(args.ssim_ref) if args.ssim_ref else None
+    """Reads the frames as a stream: only the reference and the previous
+    frame stay loaded, so memory does not grow with the number of frames."""
+    if args.clip:
+        quality.require_pairs(len(args.images))
+    ref_path = args.ssim_ref
+    ref = quality.load_pgm(ref_path) if ref_path else None
     header = ["path", "width", "height", "laplacian_variance", "mean_intensity"]
     if ref is not None:
         header.append("ssim_vs_ref")
     rows = []
-    images = []
+    pair_ssims = []
+    prev_path, prev = None, None
     for path in args.images:
-        img = load(path)
-        images.append(img)
+        img = ref if path == ref_path else quality.load_pgm(path)
         row = [
             path,
             img.width,
@@ -311,15 +316,19 @@ def _cmd_quality(args) -> int:
             quality.mean_intensity(img),
         ]
         if ref is not None:
-            row.append(quality.ssim(img, ref))
+            row.append(_ssim("--ssim-ref", path, img, ref_path, ref))
         rows.append(row)
+        if args.clip and prev is not None:
+            pair_ssims.append(_ssim("--clip", prev_path, prev, path, img))
+        prev_path, prev = path, img
+    temporal = quality.inconsistency(pair_ssims) if args.clip else None
+    out = _outdir(args)
     _write_csv(os.path.join(out, "quality.csv"), header, rows)
     if args.clip:
-        clip = quality.Clip(tuple(images))
         _write_csv(
             os.path.join(out, "temporal.csv"),
             ["n_frames", "temporal_inconsistency"],
-            [[len(clip), quality.temporal_inconsistency(clip)]],
+            [[len(args.images), temporal]],
         )
     _echo_config(
         out,
@@ -507,7 +516,6 @@ def _read_points(path: str) -> list[costmod.MethodPoint]:
 
 def _cmd_pareto(args) -> int:
     points = _read_points(args.points)
-    out = _outdir(args)
     by_name = {p.name: p for p in points}
     baseline_name = args.baseline or points[0].name
     if baseline_name not in by_name:
@@ -535,6 +543,7 @@ def _cmd_pareto(args) -> int:
         rows.append(
             [p.name, p.accuracy, p.cost, p.fps, p.power_w, id(p) in frontier, rel]
         )
+    out = _outdir(args)
     _write_csv(
         os.path.join(out, "pareto.csv"),
         ["name", "accuracy", "cost", "fps", "power", "on_frontier", "rel_efficiency"],

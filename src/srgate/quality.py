@@ -9,6 +9,7 @@ means/variances over the whole image, no sliding window.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -238,16 +239,28 @@ def ssim(a: GrayImage, b: GrayImage) -> float:
     return num / den
 
 
+def require_pairs(n_frames: int) -> None:
+    """Raise TooFewFrames unless ``n_frames`` frames hold a consecutive pair."""
+    if n_frames < 2:
+        raise TooFewFrames(f"need >= 2 frames, got {n_frames}")
+
+
+def inconsistency(pair_ssims: Sequence[float]) -> float:
+    """1 minus the mean of a clip's consecutive-pair SSIMs, clamped to [0,1].
+
+    ``pair_ssims[i]`` is ``ssim(frame_i, frame_i+1)``; a caller that reads
+    frames one at a time folds them here without holding the clip.
+    """
+    require_pairs(len(pair_ssims) + 1)
+    value = 1.0 - float(np.mean(pair_ssims))
+    return min(1.0, max(0.0, value))
+
+
 def temporal_inconsistency(clip: Clip) -> float:
     """1 minus the mean SSIM of consecutive frame pairs, clamped to [0,1].
 
     Static clips score 0; frame-to-frame structural churn pushes the score
     toward 1.
     """
-    if len(clip) < 2:
-        raise TooFewFrames(f"need >= 2 frames, got {len(clip)}")
-    sims = [
-        ssim(clip.frames[i], clip.frames[i + 1]) for i in range(len(clip) - 1)
-    ]
-    value = 1.0 - float(np.mean(sims))
-    return min(1.0, max(0.0, value))
+    frames = clip.frames
+    return inconsistency([ssim(a, b) for a, b in zip(frames, frames[1:])])

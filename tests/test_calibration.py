@@ -516,6 +516,35 @@ def test_bootstrap_raises_when_metric_never_defined():
         bootstrap_ci(recs, "aupr", class_id=0, n_resamples=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "metric, class_id, missing",
+    [("aupr", 0, "positive"), ("auroc", 0, "positive"), ("auroc", 1, "negative")],
+)
+def test_bootstrap_fails_before_any_draw_on_a_metric_no_draw_defines(
+    monkeypatch, metric, class_id, missing
+):
+    recs = [make_record(predicted=1, true_class=1, clip=f"c{i}", subject=f"S{i%2}") for i in range(8)]
+    resampling = calibration.SubjectResampling(recs, seed=0)
+    draws = []
+    monkeypatch.setattr(resampling, "draw", lambda attempt: draws.append(attempt))
+    with pytest.raises(MetricUndefinedOnResample) as info:
+        bootstrap_ci(recs, metric, class_id=class_id, n_resamples=10, seed=0, resampling=resampling)
+    assert draws == []
+    message = str(info.value)
+    assert f"{metric} of class {class_id}" in message
+    assert f"no {missing} record" in message
+    assert "defined resamples" in message
+
+
+def test_bootstrap_aupr_with_only_positive_records_is_defined():
+    # AUPR needs positives only, so a set without negatives is not rejected
+    recs = [
+        make_record(predicted=1, true_class=1, confidence=0.5 + 0.05 * i, clip=f"c{i}", subject=f"S{i%2}")
+        for i in range(8)
+    ]
+    assert bootstrap_ci(recs, "aupr", class_id=1, n_resamples=10, seed=0) == (1.0, 1.0)
+
+
 def test_bootstrap_callable_metric_matches_named():
     rng = np.random.default_rng(10)
     recs = random_records(rng, 40, n_subjects=4)

@@ -4,8 +4,10 @@ import argparse
 import csv
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -970,4 +972,94 @@ def test_failing_calibrate_creates_no_output_directory(tmp_path, capsys):
     argv = ["calibrate", "--log", str(log), "--seed", "1", "--resamples", "5", "--out", str(out)]
     assert run_cli(argv) == 3
     assert "defined resamples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_p2(path, width, height, values=None):
+    values = [10] * (width * height) if values is None else values
+    path.write_text(f"P2\n{width} {height}\n255\n" + " ".join(map(str, values)) + "\n")
+    return str(path)
+
+
+def test_quality_clip_shape_mismatch_names_both_files(tmp_path, capsys):
+    a = _write_p2(tmp_path / "a.pgm", 3, 3)
+    b = _write_p2(tmp_path / "b.pgm", 4, 3)
+    out = tmp_path / "q"
+    assert run_cli(["quality", a, b, "--clip", "--out", str(out)]) == 3
+    assert f"--clip: {a} vs {b}: 3x3 vs 4x3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quality_ssim_ref_shape_mismatch_names_both_files(tmp_path, capsys):
+    ref = _write_p2(tmp_path / "ref.pgm", 4, 3)
+    img = _write_p2(tmp_path / "img.pgm", 3, 3)
+    out = tmp_path / "q"
+    assert run_cli(["quality", img, "--ssim-ref", ref, "--out", str(out)]) == 3
+    assert f"--ssim-ref: {img} vs {ref}: 3x3 vs 4x3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quality_reports_a_clip_mismatch_before_a_later_unreadable_frame(tmp_path, capsys):
+    a = _write_p2(tmp_path / "a.pgm", 3, 3)
+    b = _write_p2(tmp_path / "b.pgm", 4, 3)
+    bad = tmp_path / "bad.pgm"
+    bad.write_text("P7\n")
+    assert run_cli(["quality", a, b, str(bad), "--clip", "--out", str(tmp_path / "q")]) == 3
+    assert f"--clip: {a} vs {b}" in capsys.readouterr().err
+
+
+def test_quality_with_a_bad_frame_creates_no_output_directory(tmp_path, capsys):
+    good = _write_p2(tmp_path / "good.pgm", 3, 3)
+    bad = tmp_path / "bad.pgm"
+    bad.write_text("P2\n3 3\n255\n1 2\n")
+    out = tmp_path / "q"
+    assert run_cli(["quality", good, str(bad), "--out", str(out)]) == 3
+    assert f"{bad}: 2 samples, expected 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quality_one_frame_clip_fails_before_loading_anything(tmp_path, capsys, monkeypatch):
+    a = _write_p2(tmp_path / "a.pgm", 3, 3)
+    calls = []
+    monkeypatch.setattr(quality, "load_pgm", calls.append)
+    out = tmp_path / "q"
+    assert run_cli(["quality", a, "--clip", "--ssim-ref", a, "--out", str(out)]) == 3
+    assert "need >= 2 frames, got 1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_quality_holds_at_most_three_frames_at_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    paths = [
+        _write_p2(tmp_path / f"f{i:02d}.pgm", 4, 4, rng.integers(0, 256, 16).tolist())
+        for i in range(12)
+    ]
+    ref = _write_p2(tmp_path / "ref.pgm", 4, 4, rng.integers(0, 256, 16).tolist())
+    alive = peak = 0
+    load = quality.load_pgm
+
+    def released():
+        nonlocal alive
+        alive -= 1
+
+    def counted(path):
+        nonlocal alive, peak
+        img = load(path)
+        alive += 1
+        peak = max(peak, alive)
+        weakref.finalize(img, released)
+        return img
+
+    monkeypatch.setattr(quality, "load_pgm", counted)
+    assert run_cli(["quality", *paths, "--clip", "--ssim-ref", ref, "--out", str(tmp_path / "q")]) == 0
+    assert peak <= 3
+
+
+def test_pareto_with_an_unknown_baseline_creates_no_output_directory(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text("name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\n")
+    out = tmp_path / "pareto"
+    assert run_cli(["pareto", "--points", str(points), "--baseline", "zz", "--out", str(out)]) == 3
+    assert "baseline 'zz' not among points" in capsys.readouterr().err
     assert not out.exists()
