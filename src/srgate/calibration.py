@@ -253,12 +253,11 @@ class SubjectResampling:
     bootstrap CIs of one report.
 
     Draw k is ``default_rng([seed, k]).integers(0, n, n)`` for n subjects.
-    Draws are made on first use and kept, and the arrays are built on first
-    use (a callable metric needs none), so the CIs of one report group and
-    convert the records once and build each generator once. Make one per
-    report, never per process: a table that outlived its report would make
-    later runs read warmer than a user's single run. `arrays`, if given, are
-    ``record_arrays(records)``, already built by the caller.
+    Draws are made on first use and kept, so the CIs of one report group
+    and convert the records once and build each generator once. Make one
+    per report, never per process: a table that outlived its report would
+    make later runs read warmer than a user's single run. `arrays`, if
+    given, are ``record_arrays(records)``, already built by the caller.
     """
 
     def __init__(
@@ -267,14 +266,8 @@ class SubjectResampling:
         self.records = records
         self.seed = seed
         _, self.groups = subject_groups(records)
-        self._arrays = arrays
+        self.arrays = record_arrays(records) if arrays is None else arrays
         self._draws: list[np.ndarray] = []
-
-    @property
-    def arrays(self) -> RecordArrays:
-        if self._arrays is None:
-            self._arrays = record_arrays(self.records)
-        return self._arrays
 
     def draw(self, attempt: int) -> np.ndarray:
         draws = self._draws
@@ -285,7 +278,7 @@ class SubjectResampling:
 
 
 def _resolve_metric(
-    metric: str | Callable[[Sequence[PredictionRecord]], float],
+    metric: str,
     bins: int,
     class_id: int | None,
     resampling: SubjectResampling,
@@ -300,9 +293,6 @@ def _resolve_metric(
     def on_resample(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
         return lambda draw: fn(np.concatenate([groups[d] for d in draw]))
 
-    if callable(metric):
-        records = resampling.records
-        return on_resample(lambda idx: float(metric([records[i] for i in idx])))
     a = resampling.arrays
     if metric == "ece":
         return on_resample(lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins))
@@ -332,7 +322,7 @@ def _resolve_metric(
 
 def bootstrap_ci(
     records: Sequence[PredictionRecord],
-    metric: str | Callable[[Sequence[PredictionRecord]], float],
+    metric: str,
     n_resamples: int = 1000,
     level: float = 0.95,
     seed: int = 0,
@@ -346,11 +336,12 @@ def bootstrap_ci(
     All of a subject's records travel together. Resample k draws from the
     deterministic substream ``default_rng([seed, k])`` where k counts
     attempts, so results are bit-reproducible and order-independent.
-    Resamples on which the metric is undefined (e.g. no positives for AUPR)
-    are skipped and replaced, up to 10x n_resamples attempts. An AUPR or
-    AUROC that the whole set leaves undefined (no positive record, or for
-    AUROC no negative) is undefined on every draw, so it raises before the
-    first one.
+    `metric` is named: "ece", "brier", "accuracy", "aupr" or "auroc" (the
+    last two of `class_id`). Resamples on which the metric is undefined
+    (e.g. no positives for AUPR) are skipped and replaced, up to 10x
+    n_resamples attempts. An AUPR or AUROC that the whole set leaves
+    undefined (no positive record, or for AUROC no negative) is undefined
+    on every draw, so it raises before the first one.
 
     AUPR resamples are scored as the presorted records weighted by the
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to

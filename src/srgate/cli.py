@@ -285,12 +285,12 @@ def _write_reliability(out: str, bins) -> None:
 
 # --- subcommand bodies ------------------------------------------------------------
 
-def _ssim(flag: str, a_path: str, a, b_path: str, b) -> float:
-    """``quality.ssim(a, b)``, naming both files if their shapes differ."""
+def _naming(files: str, fn, *images) -> float:
+    """``fn(*images)``; a shape error names `files` before its message."""
     try:
-        return quality.ssim(a, b)
-    except err.DimensionMismatch as exc:
-        raise err.DimensionMismatch(f"{flag}: {a_path} vs {b_path}: {exc}") from None
+        return fn(*images)
+    except (err.DimensionMismatch, err.ImageTooSmall) as exc:
+        raise type(exc)(f"{files}: {exc}") from None
 
 
 def _cmd_quality(args) -> int:
@@ -312,14 +312,14 @@ def _cmd_quality(args) -> int:
             path,
             img.width,
             img.height,
-            quality.laplacian_variance(img),
+            _naming(path, quality.laplacian_variance, img),
             quality.mean_intensity(img),
         ]
         if ref is not None:
-            row.append(_ssim("--ssim-ref", path, img, ref_path, ref))
+            row.append(_naming(f"--ssim-ref: {path} vs {ref_path}", quality.ssim, img, ref))
         rows.append(row)
         if args.clip and prev is not None:
-            pair_ssims.append(_ssim("--clip", prev_path, prev, path, img))
+            pair_ssims.append(_naming(f"--clip: {prev_path} vs {path}", quality.ssim, prev, img))
         prev_path, prev = path, img
     temporal = quality.inconsistency(pair_ssims) if args.clip else None
     out = _outdir(args)
@@ -344,18 +344,19 @@ def _cmd_quality(args) -> int:
 
 def _decision_rows(recs, config, adaptive: bool):
     """One decisions.csv row per record, yielded as it is decided. The
-    adaptive gate's rows carry the expected-utility audit of each level;
-    the fixed gate's rows carry zeros there."""
+    adaptive gate's rows carry the expected-utility audit of each level,
+    the heuristic rows of `gating.utility_matrix`, converted one row at a
+    time; the fixed gate's rows carry zeros there."""
     t = config.thresholds
-    utilities = (0.0, 0.0, 0.0)
-    for r in recs:
+    if adaptive:
+        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
+    for i, r in enumerate(recs):
         if adaptive:
             d = gating.gate_adaptive(r, t, config.adaptive)
-            utilities = gating.utilities_by_level(
-                r.predicted_class, r.confidence, r.criticality, config.utility, config.costs
-            )
+            utilities = audit[i].tolist()
         else:
             d = gating.gate(r.confidence, r.criticality, t)
+            utilities = (0.0, 0.0, 0.0)
         yield (
             r.clip_id,
             r.subject_id,

@@ -119,28 +119,6 @@ def gate(p: float, c: int, t: Thresholds) -> GateDecision:
     return GateDecision(level=level, tau_used=t.tau_high, reason=reason)
 
 
-def utilities_by_level(
-    class_id: int, p: float, c: int, params: UtilityParams, costs: CostProfile
-) -> tuple[float, float, float]:
-    """Per-level expected utility, the audit that `gate --adaptive` writes
-    beside each decision (NONE is always 0).
-
-    Equal, bit for bit, to ``expected_utility(delta_acc_estimate(...),
-    params.weight(c), costs.utility_cost(level), params.lam)`` per level,
-    with the gains and costs read from their cached tables.
-    """
-    w = params.weight(c)
-    lam = params.lam
-    _, g2, g4 = params.gain_table[class_id]
-    c0, c2, c4 = costs.utility_costs()
-    q = 1.0 - p
-    return (
-        expected_utility(0.0, w, c0, lam),
-        expected_utility(g2 * q, w, c2, lam),
-        expected_utility(g4 * q, w, c4, lam),
-    )
-
-
 def gate_adaptive(r: PredictionRecord, t: Thresholds, cfg: AdaptiveTauConfig) -> GateDecision:
     """Threshold gate with the high threshold adapted to the record's blur
     and lighting; `tau_used` is that adapted threshold."""
@@ -168,7 +146,13 @@ def utility_matrix(
     already holds the arrays does not convert the records twice.
     objective='outcome' scores the accuracy-gain term by the record's
     realized error (labels are known here); 'heuristic' falls back to the
-    1-p expectation for label-free logs.
+    1-p expectation for label-free logs, and its rows are the audit that
+    `gate --adaptive` writes.
+
+    It groups as ``expected_utility(delta_acc_estimate(...), w, cost, lam)``
+    does, (gain x factor) x w, so a heuristic row equals that formula bit
+    for bit; an outcome factor is exactly 0.0 or 1.0, so the grouping does
+    not change an outcome row.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -177,7 +161,7 @@ def utility_matrix(
     w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
     gain_table = np.array(params.gain_table, dtype=np.float64)
     cost_norm = np.array(costs.utility_costs(), dtype=np.float64)
-    return gain_table[a.pred] * (factor * w)[:, None] - params.lam * cost_norm[None, :]
+    return (gain_table[a.pred] * factor[:, None]) * w[:, None] - params.lam * cost_norm[None, :]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GuardOnNonSR
 from .quality import Clip, ssim, temporal_inconsistency
-from .records import GateDecision, SRLevel
+from .records import SRLevel
 
 SSIM_ARTIFACT_CUT = 0.7
 PERCEPTUAL_LOSS_CUT = 0.3
@@ -38,7 +38,7 @@ def label_artifact(ssim_vs_hr: float, perceptual_loss: float) -> bool:
 
 def apply_guard(
     p_artifact: float,
-    gated: GateDecision | SRLevel,
+    level: SRLevel,
     confidence: float,
     threshold: float = DEFAULT_TRIGGER,
     discount: float = DEFAULT_DISCOUNT,
@@ -46,12 +46,12 @@ def apply_guard(
 ) -> GuardOutcome:
     """Revert-and-discount policy for one enhanced record.
 
-    Only meaningful when SR was actually used; a NONE-level decision raises
+    Only meaningful when SR was actually used; level NONE raises
     GuardOnNonSR, which also makes double application impossible (a reverted
-    outcome is no longer an SR decision).
+    outcome is no longer an SR decision). An int outside the levels raises
+    ValueError.
     """
-    level = gated.level if isinstance(gated, GateDecision) else SRLevel(gated)
-    if level == SRLevel.NONE:
+    if SRLevel(level) == SRLevel.NONE:
         raise GuardOnNonSR("guard applies only when SR was used")
     triggered = p_artifact > threshold
     if not triggered:

@@ -13,7 +13,7 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -346,8 +346,8 @@ class GateDecision:
     """Chosen SR level, the high threshold it was decided against, and the
     policy branch that chose it.
 
-    The expected-utility audit is not part of a decision: only the outputs
-    that write it compute it, with `gating.utilities_by_level`.
+    The expected-utility audit is not part of a decision: only the output
+    that writes it computes it, with `gating.utility_matrix`.
     """
 
     level: SRLevel
@@ -417,6 +417,3 @@ class UtilityParams:
 
     def weight(self, criticality: int) -> float:
         return self.w_crit if criticality == 1 else self.w_normal
-
-    def with_overrides(self, **kw) -> "UtilityParams":
-        return replace(self, **kw)

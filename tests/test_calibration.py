@@ -545,14 +545,6 @@ def test_bootstrap_aupr_with_only_positive_records_is_defined():
     assert bootstrap_ci(recs, "aupr", class_id=1, n_resamples=10, seed=0) == (1.0, 1.0)
 
 
-def test_bootstrap_callable_metric_matches_named():
-    rng = np.random.default_rng(10)
-    recs = random_records(rng, 40, n_subjects=4)
-    named = bootstrap_ci(recs, "ece", n_resamples=32, seed=9)
-    via_callable = bootstrap_ci(recs, lambda rs: ece(rs, 10), n_resamples=32, seed=9)
-    assert named == pytest.approx(via_callable, abs=1e-12)
-
-
 # --- report assembly ----------------------------------------------------------------------
 
 def test_report_cis_equal_standalone_bootstrap_calls():

@@ -744,6 +744,19 @@ def test_quality_rejects_non_integer_p2_sample_naming_the_file(tmp_path, capsys,
     assert f"{path}: non-numeric sample data" in err
 
 
+@pytest.mark.parametrize("clip", [False, True], ids=["lone", "clip"])
+def test_quality_too_small_frame_exits_3_naming_the_file(tmp_path, capsys, clip):
+    big = tmp_path / "big.pgm"
+    big.write_text("P2\n3 3\n255\n" + " ".join(["10"] * 9) + "\n")
+    tiny = tmp_path / "tiny.pgm"
+    tiny.write_text("P2\n2 2\n255\n1 2 3 4\n")
+    argv = ["quality", str(big), str(tiny), str(big), "--clip"] if clip else ["quality", str(tiny)]
+    out = tmp_path / "q"
+    assert run_cli(argv + ["--out", str(out)]) == 3
+    assert f"{tiny}: need >= 3x3, got 2x2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quality_loads_each_distinct_path_once(tmp_path, monkeypatch):
     a = tmp_path / "a.pgm"
     a.write_text("P2\n3 3\n255\n" + " ".join(["10"] * 9) + "\n")
@@ -938,9 +951,15 @@ def test_gate_utility_columns_are_the_audit_of_adaptive_rows_only(stream_log, tm
     assert [r["clip_id"] for r in rows] == [r.clip_id for r in recs]
     for rec, row in zip(recs, rows):
         if adaptive:
-            want = gating.utilities_by_level(
-                rec.predicted_class, rec.confidence, rec.criticality, config.utility, config.costs
-            )
+            want = [
+                gating.expected_utility(
+                    gating.delta_acc_estimate(config.utility, rec.predicted_class, level, rec.confidence),
+                    config.utility.weight(rec.criticality),
+                    config.costs.utility_cost(level),
+                    config.utility.lam,
+                )
+                for level in records.SRLevel
+            ]
         else:
             want = (0.0, 0.0, 0.0)
         assert [row["utility_none"], row["utility_2x"], row["utility_4x"]] == list(map(repr, want))

@@ -23,10 +23,16 @@ from srgate.gating import (
     normalize_blur,
     optimize_thresholds,
     sensitivity_sweep,
-    utilities_by_level,
     utility_matrix,
 )
-from srgate.records import NUM_CLASSES, GateReason, SRLevel, UtilityParams
+from srgate.records import (
+    NUM_CLASSES,
+    GateReason,
+    RecordArrays,
+    SRLevel,
+    UtilityParams,
+    record_arrays,
+)
 
 T = Thresholds()
 U = UtilityParams()
@@ -147,10 +153,27 @@ def test_gate_adaptive_raised_tau_pulls_record_into_2x():
     assert d.level == SRLevel.X2
 
 
+def _expected_utilities(params, costs, class_id, c, p):
+    """The audit of one record by the scalar formula, NONE first."""
+    return [
+        expected_utility(
+            delta_acc_estimate(params, class_id, level, p),
+            params.weight(c),
+            costs.utility_cost(level),
+            params.lam,
+        )
+        for level in SRLevel
+    ]
+
+
 def test_gate_adaptive_none_utility_is_zero():
     rng = np.random.default_rng(22)
-    for r in random_records(rng, 50):
-        assert utilities_by_level(r.predicted_class, r.confidence, r.criticality, U, C)[0] == 0.0
+    recs = random_records(rng, 50)
+    util = utility_matrix(recs, U, C, "heuristic")
+    for r, row in zip(recs, util):
+        want = _expected_utilities(U, C, r.predicted_class, r.criticality, r.confidence)[0]
+        assert want == 0.0
+        assert row[0] == want
 
 
 def _odd_gains():
@@ -175,20 +198,60 @@ def _odd_gains():
     "costs", [C, CostProfile(utility_dimension="latency_ms"), CostProfile(utility_dimension="power_w")]
 )
 def test_utilities_by_level_bit_identical_to_expected_utility(params, costs):
-    for class_id in range(NUM_CLASSES):
-        for c in (0, 1):
-            for p in (0.0, 1 / 7, 0.5, 1.0):
-                want = tuple(
-                    expected_utility(
-                        delta_acc_estimate(params, class_id, level, p),
-                        params.weight(c),
-                        costs.utility_cost(level),
-                        params.lam,
-                    )
-                    for level in SRLevel
-                )
-                got = utilities_by_level(class_id, p, c, params, costs)
-                assert [v.hex() for v in got] == [v.hex() for v in want]
+    # the heuristic rows of utility_matrix are the per-level audit that
+    # gate --adaptive writes; each equals the scalar formula bit for bit
+    grid = [
+        (class_id, c, p)
+        for class_id in range(NUM_CLASSES)
+        for c in (0, 1)
+        for p in (0.0, 1 / 7, 0.5, 1.0)
+    ]
+    pred = np.array([class_id for class_id, _, _ in grid], dtype=np.int64)
+    arrays = RecordArrays(
+        confidence=np.array([p for _, _, p in grid]),
+        criticality=np.array([c for _, c, _ in grid], dtype=np.uint8),
+        probs=np.zeros((len(grid), NUM_CLASSES)),
+        true_class=pred,
+        pred=pred,
+        correct=np.ones(len(grid), dtype=bool),
+    )
+    util = utility_matrix(arrays, params, costs, "heuristic")
+    for (class_id, c, p), row in zip(grid, util.tolist()):
+        want = _expected_utilities(params, costs, class_id, c, p)
+        assert [v.hex() for v in row] == [v.hex() for v in want]
+
+
+def _frozen_outcome_utility(a, params, costs):
+    # utility_matrix's expression before the grouping of the heuristic audit
+    factor = 1.0 - a.correct.astype(np.float64)
+    w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
+    gain_table = np.array(params.gain_table, dtype=np.float64)
+    cost_norm = np.array(costs.utility_costs(), dtype=np.float64)
+    return gain_table[a.pred] * (factor * w)[:, None] - params.lam * cost_norm[None, :]
+
+
+def test_outcome_utility_rows_equal_the_frozen_expression():
+    negative = {key: -value for key, value in _odd_gains().items()}
+    params_list = [
+        U,
+        UtilityParams(lam=0.173, w_crit=3.7, w_normal=1.3, delta_acc_table=_odd_gains()),
+        UtilityParams(lam=0.0, w_crit=1.0, delta_acc_table=_odd_gains()),
+        UtilityParams(lam=0.0, w_normal=0.0, delta_acc_table=negative),
+    ]
+    costs_list = [
+        C,
+        CostProfile(utility_dimension="latency_ms"),
+        CostProfile(utility_dimension="power_w"),
+    ]
+    rng = np.random.default_rng(26)
+    recs = random_records(rng, 400)
+    arrays = record_arrays(recs)
+    assert 0 < np.count_nonzero(arrays.correct) < len(recs)
+    assert 0 < np.count_nonzero(arrays.criticality) < len(recs)
+    for params in params_list:
+        for costs in costs_list:
+            got = utility_matrix(arrays, params, costs, "outcome")
+            assert got.tobytes() == _frozen_outcome_utility(arrays, params, costs).tobytes()
 
 
 def test_gain_table_rows_follow_class_ids():

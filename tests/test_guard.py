@@ -34,7 +34,7 @@ def test_label_artifact_monotone(ssim_value, loss, ssim_drop, loss_bump):
 def test_apply_guard_trigger_discounts_relative():
     d = gate(0.55, 0, T)
     assert d.level == SRLevel.X4
-    out = apply_guard(0.6, d, 0.8)
+    out = apply_guard(0.6, d.level, 0.8)
     assert out.triggered and not out.used_sr
     assert out.final_confidence == pytest.approx(0.68, abs=1e-12)
     assert out.p_artifact == 0.6
@@ -56,7 +56,7 @@ def test_apply_guard_rejects_non_sr_decision():
     d = gate(0.95, 0, T)
     assert d.level == SRLevel.NONE
     with pytest.raises(GuardOnNonSR):
-        apply_guard(0.9, d, 0.9)
+        apply_guard(0.9, d.level, 0.9)
 
 
 def test_apply_guard_absolute_mode():
