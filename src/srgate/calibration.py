@@ -416,15 +416,17 @@ def calibration_report(
     n_resamples: int = 1000,
     level: float = 0.95,
     seed: int = 0,
+    arrays: RecordArrays | None = None,
 ) -> CalibrationReport:
     """Full calibration summary, optionally with bootstrap CIs.
 
     ci_metrics entries are "ece", "brier", "accuracy", or "aupr:<class_id>" /
     "auroc:<class_id>" for one-vs-rest ranking CIs. The point metrics share
     one conversion of the records to arrays, which the CIs share with their
-    subject groups and draws (``SubjectResampling``).
+    subject groups and draws (``SubjectResampling``). Given `arrays` (row i
+    for record i) are scored instead; the records then give the CIs' subjects.
     """
-    a = _arrays(records, bins)
+    a = _arrays(records if arrays is None else arrays, bins)
     bin_list = reliability_bins(a, bins)
     aurocs, auprs = per_class_ranking(a)
     ci = None

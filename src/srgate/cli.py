@@ -399,7 +399,8 @@ def _cmd_calibrate(args) -> int:
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
     recs = records.ingest_log(args.log, strict=args.strict)
-    report = simulate.pooled_calibration(recs, config, 0 if seed is None else seed)
+    a = records.record_arrays(recs)
+    report = simulate.pooled_calibration(recs, a, config, 0 if seed is None else seed)
     out = _outdir(args)
     effective = _effective(run, config)
     if args.format in ("report", "both"):
@@ -414,7 +415,6 @@ def _cmd_calibrate(args) -> int:
     if args.format in ("csv", "both"):
         _write_reliability(out, report.bins)
         # full PR curves for the critical classes, one file each
-        a = records.record_arrays(recs)
         for k in sorted(records.CRITICAL_IDS):
             labels = a.true_class == k
             if not labels.any():
@@ -562,7 +562,7 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: str) -> None:
+def _write_experiment_outputs(out: str, report, recs, outcomes, effective, fmt: str) -> None:
     if fmt in ("report", "both"):
         simulate.write_report(report, os.path.join(out, "report.json"))
     if fmt in ("csv", "both"):
@@ -571,8 +571,8 @@ def _write_experiment_outputs(out: str, report, outcomes, effective: dict, fmt: 
             os.path.join(out, "guard_outcomes.csv"),
             ["clip_id", "p_artifact", "triggered", "used_sr", "final_confidence"],
             (
-                (o.final.clip_id, o.p_artifact, o.triggered, o.used_sr, o.final.confidence)
-                for o in outcomes
+                (r.clip_id, o.p_artifact, o.triggered, o.used_sr, o.confidence)
+                for r, o in zip(recs, outcomes)
             ),
         )
     _echo_config(out, effective)
@@ -587,7 +587,7 @@ def _cmd_simulate(args) -> int:
     report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
     out = _outdir(args)
     records.write_log(recs, os.path.join(out, "stream.log"))
-    _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
+    _write_experiment_outputs(out, report, recs, outcomes, _effective(run, config), args.format)
     return 0
 
 
@@ -599,7 +599,7 @@ def _cmd_loso_eval(args) -> int:
     recs = records.ingest_log(args.log, strict=args.strict)
     report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
     out = _outdir(args)
-    _write_experiment_outputs(out, report, outcomes, _effective(run, config), args.format)
+    _write_experiment_outputs(out, report, recs, outcomes, _effective(run, config), args.format)
     return 0
 
 

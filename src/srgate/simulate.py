@@ -149,32 +149,16 @@ def loso_splits(records: Sequence[PredictionRecord]) -> list[LosoFold]:
 
 @dataclass(frozen=True)
 class EvalOutcome:
-    """Final state of one record after gating, SR effect, and guard."""
+    """Final state of one record after gating, SR effect, and guard. `pred`
+    is None where the record's own probability vector stands; otherwise
+    ``final_arrays`` rebuilds the vector from `pred` and `confidence`."""
 
-    final: PredictionRecord
+    pred: int | None
+    confidence: float
     level: SRLevel
     used_sr: bool
     triggered: bool
     p_artifact: float | None
-
-
-def _rebuild(
-    r: PredictionRecord, pred: int, confidence: float, p_artifact: float | None
-) -> PredictionRecord:
-    # After a guard discount the scalar confidence can fall below the 1/K
-    # probability floor; keep the vector's argmax on the prediction anyway.
-    mass = max(confidence, CONF_FLOOR + 1e-9)
-    return PredictionRecord(
-        subject_id=r.subject_id,
-        clip_id=r.clip_id,
-        true_class=r.true_class,
-        probs=_build_probs(pred, mass),
-        confidence=confidence,
-        criticality=int(CLASSES[pred].critical),
-        blur=r.blur,
-        lighting=r.lighting,
-        artifact_score=p_artifact,
-    )
 
 
 # The SR level each policy picks for a record. gate and gate_adaptive are
@@ -216,13 +200,13 @@ def _evaluate_record(
     r: PredictionRecord, index: int, level: SRLevel, config: ExperimentConfig, seed: int
 ) -> EvalOutcome:
     if level == SRLevel.NONE:
-        return EvalOutcome(final=r, level=level, used_sr=False, triggered=False, p_artifact=None)
+        return EvalOutcome(None, r.confidence, level, False, False, None)
 
     effect = config.scenario.sr_effect
     if not effect.hallucination_enabled and not effect.uplift_enabled:
         # log-driven mode: score the record as it stands, guarding on any
         # artifact probability the upstream detector recorded
-        sr_pred = None
+        pred, conf = None, r.confidence
         p_artifact = r.artifact_score
     else:
         rng = np.random.default_rng([seed, index])
@@ -231,34 +215,25 @@ def _evaluate_record(
             target = int(
                 effect.hallucination_targets[rng.integers(0, len(effect.hallucination_targets))]
             )
-            sr_conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
-            sr_pred = target
+            conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
+            pred = target
             p_artifact = float(rng.uniform(*effect.hallucinated_score_range))
         else:
             p_artifact = float(rng.uniform(*effect.clean_score_range))
-            sr_pred = r.predicted_class
-            sr_conf = r.confidence
+            pred = r.predicted_class
+            conf = r.confidence
             if effect.uplift_enabled and not r.correct:
                 q = config.scenario.model.p_correct(r.confidence)
                 u = effect.uplift(level, r.true_class)
                 flip_p = q * (u - 1.0) / (1.0 - q + u * q)
                 if rng.random() < flip_p:
-                    sr_pred = r.true_class
+                    pred = r.true_class
 
     outcome = guard_outcome(r, level, p_artifact, config)
     if outcome.triggered:
-        final = _rebuild(r, r.predicted_class, outcome.final_confidence, p_artifact)
-    elif sr_pred is None:
-        final = r
-    else:
-        final = _rebuild(r, sr_pred, sr_conf, p_artifact)
-    return EvalOutcome(
-        final=final,
-        level=level,
-        used_sr=outcome.used_sr,
-        triggered=outcome.triggered,
-        p_artifact=p_artifact,
-    )
+        # the LR input is classified again: its own prediction, discounted
+        pred, conf = r.predicted_class, outcome.final_confidence
+    return EvalOutcome(pred, conf, level, outcome.used_sr, outcome.triggered, p_artifact)
 
 
 def evaluate_records(
@@ -288,14 +263,28 @@ def _critical_fp_mask(a: RecordArrays, conf_cut: float) -> np.ndarray:
     return ~_CRITICAL[a.true_class] & _CRITICAL[a.pred] & (a.confidence > conf_cut)
 
 
-def count_critical_fp(
-    outcomes: Sequence[EvalOutcome], conf_cut: float = 0.5
-) -> int:
-    """Non-critical truths confidently predicted as a critical class."""
-    if not outcomes:
-        return 0
-    a = record_arrays([o.final for o in outcomes])
-    return int(np.count_nonzero(_critical_fp_mask(a, conf_cut)))
+def final_arrays(arrays: RecordArrays, outcomes: Sequence[EvalOutcome]) -> RecordArrays:
+    """Row i of `arrays` (the input's ``record_arrays``) after outcome i.
+
+    Each row takes its outcome's confidence. A row whose outcome carries a
+    prediction gets mass ``max(confidence, CONF_FLOOR + 1e-9)`` on it and
+    ``(1 - mass) / (K - 1)`` on every other class, so it stays the argmax
+    after a guard discount below 1/K, and the criticality of its class.
+    Every other row keeps its own vector.
+    """
+    confidence = np.array([o.confidence for o in outcomes], dtype=np.float64)
+    replaced = [(i, o.pred) for i, o in enumerate(outcomes) if o.pred is not None]
+    rows, new_pred = np.array(replaced, dtype=np.int64).reshape(-1, 2).T
+    mass = np.maximum(confidence[rows], CONF_FLOOR + 1e-9)
+    probs = arrays.probs.copy()
+    probs[rows] = ((1.0 - mass) / (NUM_CLASSES - 1))[:, None]
+    probs[rows, new_pred] = mass
+    criticality = arrays.criticality.copy()
+    criticality[rows] = _CRITICAL[new_pred]
+    pred = arrays.pred.copy()
+    pred[rows] = new_pred
+    true_class = arrays.true_class
+    return RecordArrays(confidence, criticality, probs, true_class, pred, pred == true_class)
 
 
 # --- experiment report ------------------------------------------------------------------
@@ -305,12 +294,17 @@ CI_METRICS = ("ece", *(f"aupr:{k}" for k in sorted(CRITICAL_IDS)))
 
 
 def pooled_calibration(
-    records: Sequence[PredictionRecord], config: ExperimentConfig, seed: int
+    records: Sequence[PredictionRecord],
+    arrays: RecordArrays,
+    config: ExperimentConfig,
+    seed: int,
 ) -> CalibrationReport:
-    """The calibration report of all of a run's records, with the CI_METRICS
-    intervals when ``config.resamples`` > 0."""
+    """The calibration report of all of a run's records, scored on `arrays`
+    (their columns), with the CI_METRICS intervals when ``config.resamples``
+    > 0. The intervals resample the records' subjects."""
     return calibration_report(
         records,
+        arrays=arrays,
         bins=config.bins,
         ci_metrics=CI_METRICS if config.resamples > 0 else None,
         n_resamples=config.resamples,
@@ -377,12 +371,13 @@ def run_experiment_with_outcomes(
     and for AUPR of each critical class. Also returns the per-record
     outcomes for audit emission.
 
-    Scoring runs on arrays: after the pooled report, the final records
-    become one ``RecordArrays``, plus an SR-level array and a guard-trigger
-    array, each built once. Pooled cost, guard counts and critical false
-    positives come from those arrays, and every fold's accuracy, ECE,
-    Brier, cost, triggers and critical false positives from the rows of
-    its test subject, selected by an integer index array.
+    Scoring runs on arrays: the input records become one ``RecordArrays``,
+    and the outcomes turn it into the final columns (``final_arrays``),
+    next to an SR-level array and a guard-trigger array. The pooled report
+    and its CIs, pooled cost, guard counts and critical false positives
+    come from those arrays, and every fold's accuracy, ECE, Brier, cost,
+    triggers and critical false positives from the rows of its test
+    subject, selected by an integer index array.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
@@ -398,12 +393,9 @@ def run_experiment_with_outcomes(
     if len(subjects) < 2:
         raise TooFewSubjects(f"need >= 2 subjects, got {len(subjects)}")
     outcomes = evaluate_records(records, policy, config, seed)
-    final_records = [o.final for o in outcomes]
+    arrays = final_arrays(record_arrays(records), outcomes)
+    pooled = pooled_calibration(records, arrays, config, seed)
 
-    pooled = pooled_calibration(final_records, config, seed)
-
-    # built after the report, which holds its own arrays only while it runs
-    arrays = record_arrays(final_records)
     levels = np.fromiter((o.level for o in outcomes), dtype=np.int64, count=len(outcomes))
     triggered = np.fromiter((o.triggered for o in outcomes), dtype=bool, count=len(outcomes))
     critical_fp = _critical_fp_mask(arrays, config.critical_fp_conf_cut)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from srgate import calibration, gating, records, simulate
 from srgate.records import NUM_CLASSES, PredictionRecord
 
 
@@ -184,3 +185,20 @@ def pareto_oracle(points):
         if not dominated:
             out.append(p)
     return sorted(out, key=lambda p: (p.cost, -p.accuracy, p.name))
+
+
+def count_conversions(monkeypatch) -> list[int]:
+    """Count ``record_arrays`` calls through every module that calls it.
+
+    Returns the list that each call appends its record count to.
+    """
+    calls: list[int] = []
+    convert = records.record_arrays
+
+    def counting(recs):
+        calls.append(len(recs))
+        return convert(recs)
+
+    for module in (records, calibration, gating, simulate):
+        monkeypatch.setattr(module, "record_arrays", counting)
+    return calls

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_record
+from helpers import count_conversions, make_record
 from srgate import errors, gating, quality, records
 from srgate.cli import build_parser, run_cli
 from srgate.config import ExperimentConfig
@@ -1073,6 +1073,15 @@ def test_quality_holds_at_most_three_frames_at_once(tmp_path, monkeypatch):
     monkeypatch.setattr(quality, "load_pgm", counted)
     assert run_cli(["quality", *paths, "--clip", "--ssim-ref", ref, "--out", str(tmp_path / "q")]) == 0
     assert peak <= 3
+
+
+def test_calibrate_converts_its_log_once(stream_log, tmp_path, monkeypatch):
+    calls = count_conversions(monkeypatch)
+    argv = ["calibrate", "--log", stream_log, "--seed", "1", "--resamples", "5",
+            "--format", "both", "--out", str(tmp_path / "cal")]
+    assert run_cli(argv) == 0
+    assert calls == [len(records.ingest_log(stream_log))]
+    assert (tmp_path / "cal" / "pr_drowsiness.csv").exists()
 
 
 def test_pareto_with_an_unknown_baseline_creates_no_output_directory(tmp_path, capsys):

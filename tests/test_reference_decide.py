@@ -12,7 +12,6 @@ clamp, and leave optional fields present, absent or null.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import tempfile
@@ -162,13 +161,18 @@ def test_log_driven_outputs_equal_the_frozen_reference(data):
         # the outcome columns in process, under the run's echoed configuration
         echo = json.loads((out / "effective_config.json").read_text(encoding="utf-8"))
         config = cfgmod.experiment_from_dict(echo)
-        _, got = simulate.run_experiment_with_outcomes(
-            records.ingest_log(str(log)), policy, config, 0
-        )
+        ingested = records.ingest_log(str(log))
+        _, got = simulate.run_experiment_with_outcomes(ingested, policy, config, 0)
+        final = simulate.final_arrays(records.record_arrays(ingested), got)
         assert repr(
-            [(int(o.level), o.used_sr, o.triggered, o.p_artifact, dataclasses.astuple(o.final))
-             for o in got]
-        ) == repr([(o.level, o.used_sr, o.triggered, o.p_artifact, tuple(o.final)) for o in outcomes])
+            [(int(o.level), o.used_sr, o.triggered, o.p_artifact, pred, confidence, tuple(probs))
+             for o, pred, confidence, probs in zip(
+                 got, final.pred.tolist(), final.confidence.tolist(), final.probs.tolist()
+             )]
+        ) == repr(
+            [(o.level, o.used_sr, o.triggered, o.p_artifact, ref.predicted_class(o.final),
+              o.final.confidence, o.final.probs) for o in outcomes]
+        )
 
 
 _BAD_VALUES = [

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from helpers import random_records
+import reference_decide as ref
+from helpers import count_conversions, make_record, random_records
 from srgate import calibration
 from srgate.config import (
     CONF_FLOOR,
@@ -25,10 +26,17 @@ from srgate.errors import (
     TooFewSubjects,
 )
 from srgate.costs import accumulate_cost
-from srgate.records import CLASSES, NUM_CLASSES, SRLevel, validate_record
+from srgate.records import (
+    CLASSES,
+    NUM_CLASSES,
+    PredictionRecord,
+    SRLevel,
+    record_arrays,
+    validate_record,
+)
 from srgate.simulate import (
-    count_critical_fp,
     evaluate_records,
+    final_arrays,
     loso_splits,
     read_report,
     render_report,
@@ -235,7 +243,9 @@ def test_guard_never_increases_critical_false_positives():
         unguarded = evaluate_records(
             recs, "gate_adaptive", cfg.with_overrides(guard_enabled=False), seed=trial
         )
-        assert count_critical_fp(guarded) <= count_critical_fp(unguarded)
+        assert _critical_fp_by_loop(_finals(recs, guarded), 0.5) <= _critical_fp_by_loop(
+            _finals(recs, unguarded), 0.5
+        )
 
 
 def test_synthetic_effects_disabled_uses_recorded_artifact_scores():
@@ -248,18 +258,30 @@ def test_synthetic_effects_disabled_uses_recorded_artifact_scores():
     plain = evaluate_records(recs, "fixed_4x", cfg, seed=0)
     assert not any(o.triggered for o in plain)
     for r, o in zip(recs, plain):
-        assert o.final.predicted_class == r.predicted_class
-        assert o.final.confidence == r.confidence
+        assert o.pred is None
+        assert o.confidence == r.confidence
 
 
-def _critical_fp_by_loop(outcomes, cut):
-    # the record-level definition, one outcome at a time
+def _finals(recs, outcomes):
+    # each record's final state, rebuilt one record at a time by the frozen reference
+    return [
+        r
+        if o.pred is None
+        else PredictionRecord(
+            *ref.rebuild(ref.Record(*astuple(r)), o.pred, o.confidence, o.p_artifact)
+        )
+        for r, o in zip(recs, outcomes)
+    ]
+
+
+def _critical_fp_by_loop(finals, cut):
+    # the record-level definition, one final record at a time
     return sum(
         1
-        for o in outcomes
-        if not CLASSES[o.final.true_class].critical
-        and CLASSES[o.final.predicted_class].critical
-        and o.final.confidence > cut
+        for f in finals
+        if not CLASSES[f.true_class].critical
+        and CLASSES[f.predicted_class].critical
+        and f.confidence > cut
     )
 
 
@@ -288,26 +310,96 @@ def test_array_scoring_matches_record_level_definitions(scenario):
     assert report.guard.n_sr == n_sr
     assert report.guard.n_triggered == n_triggered
     assert report.guard.trigger_rate == n_triggered / n_sr
-    assert report.guard.critical_false_positives == _critical_fp_by_loop(outcomes, cut) > 0
-    assert report.guard.critical_false_positives == count_critical_fp(outcomes, cut)
+    finals = _finals(recs, outcomes)
+    assert report.guard.critical_false_positives == _critical_fp_by_loop(finals, cut) > 0
 
     assert [f.test_subject for f in report.folds] == ["S01", "S02", "S03", "S04"]
     for fold in report.folds:
-        mine = [o for r, o in zip(recs, outcomes) if r.subject_id == fold.test_subject]
-        finals = [o.final for o in mine]
+        pairs = [(f, o) for f, o in zip(finals, outcomes) if f.subject_id == fold.test_subject]
+        mine = [o for _, o in pairs]
+        fold_finals = [f for f, _ in pairs]
         assert fold.n == len(mine)
-        assert fold.accuracy.hex() == calibration.accuracy(finals).hex()
-        assert fold.ece.hex() == calibration.ece(finals, cfg.bins).hex()
-        assert fold.brier.hex() == calibration.brier(finals).hex()
+        assert fold.accuracy.hex() == calibration.accuracy(fold_finals).hex()
+        assert fold.ece.hex() == calibration.ece(fold_finals, cfg.bins).hex()
+        assert fold.brier.hex() == calibration.brier(fold_finals).hex()
         fold_cost = accumulate_cost([o.level for o in mine], cfg.costs)
         assert fold.mean_gflops.hex() == fold_cost.mean_gflops.hex()
         assert fold.guard_triggers == sum(1 for o in mine if o.triggered)
-        assert fold.critical_false_positives == _critical_fp_by_loop(mine, cut)
-        assert fold.critical_false_positives == count_critical_fp(mine, cut)
+        assert fold.critical_false_positives == _critical_fp_by_loop(fold_finals, cut)
 
 
-def test_count_critical_fp_of_no_outcomes_is_zero():
-    assert count_critical_fp([]) == 0
+def _reference_final(r, o, config):
+    """Record r's final state by the frozen reference, given its outcome."""
+    rr = ref.Record(*astuple(r))
+    if o.level == SRLevel.NONE:
+        return rr
+    s = ref.Settings(
+        guard_enabled=config.guard_enabled,
+        guard_threshold=config.guard_threshold,
+        guard_discount=config.guard_discount,
+        guard_relative=config.guard_relative,
+    )
+    effect = config.scenario.sr_effect
+    synthetic = effect.hallucination_enabled or effect.uplift_enabled
+    # a synthetic SR effect draws its own artifact score; a log carries one
+    p_artifact = o.p_artifact if synthetic else r.artifact_score
+    _, confidence, triggered = ref.guard_outcome(rr, int(o.level), p_artifact, s)
+    if triggered:
+        return ref.rebuild(rr, ref.predicted_class(rr), confidence, p_artifact)
+    if synthetic:
+        # every enhanced record gets the SR output's vector
+        return ref.rebuild(rr, o.pred, o.confidence, p_artifact)
+    return rr
+
+
+@pytest.mark.parametrize("case", ["absolute_to_zero", "relative_on_0.15", "synthetic"])
+def test_final_columns_equal_the_frozen_rebuild(case):
+    rng = np.random.default_rng(5)
+    if case == "synthetic":
+        cfg, policy = FAST, "gate_adaptive"
+        recs = small_stream(n_per_class=30, subjects=4, seed=3)
+    else:
+        effect = SrEffectConfig(uplift_enabled=False, hallucination_enabled=False)
+        cfg = FAST.with_overrides(scenario=ScenarioConfig(FAST.scenario.model, effect))
+        if case == "absolute_to_zero":
+            cfg = cfg.with_overrides(guard_relative=False, guard_discount=1.0)
+        policy = "fixed_4x"
+        # records that stand (no score, or under the threshold) and records the
+        # guard reverts, among them confidence 0.15, which the discount takes below 1/K
+        scores = [None, 0.2, 0.9]
+        recs = [
+            replace(r, artifact_score=scores[i % 3])
+            for i, r in enumerate(random_records(rng, 60, n_subjects=3))
+        ]
+        recs += [
+            make_record(confidence=0.15, predicted=k, subject=f"S0{k % 3 + 1}", artifact_score=0.9)
+            for k in range(NUM_CLASSES)
+        ]
+    outcomes = evaluate_records(recs, policy, cfg, seed=4)
+    final = final_arrays(record_arrays(recs), outcomes)
+    want = [_reference_final(r, o, cfg) for r, o in zip(recs, outcomes)]
+
+    assert final.probs.tobytes() == np.array([w.probs for w in want]).tobytes()
+    assert final.confidence.tobytes() == np.array([w.confidence for w in want]).tobytes()
+    assert final.pred.tolist() == [ref.predicted_class(w) for w in want]
+    assert final.criticality.tolist() == [w.criticality for w in want]
+    assert final.correct.tolist() == [ref.predicted_class(w) == w.true_class for w in want]
+    triggered = [o.triggered for o in outcomes]
+    assert any(triggered) and not all(triggered)
+    if case != "synthetic":
+        assert (final.confidence < CONF_FLOOR).any()
+        assert any(o.pred is None for o in outcomes)
+
+
+@pytest.mark.parametrize("scenario", ["synthetic", "log_driven"])
+def test_experiment_converts_its_records_once(monkeypatch, scenario):
+    recs = small_stream(n_per_class=10, subjects=3, seed=2)
+    cfg = FAST.with_overrides(resamples=5)
+    if scenario == "log_driven":
+        recs, cfg = _log_driven(recs, cfg)
+    calls = count_conversions(monkeypatch)
+    run_experiment_with_outcomes(recs, "gate_adaptive", cfg, seed=1)
+    assert calls == [len(recs)]
 
 
 # --- report persistence ----------------------------------------------------------------
