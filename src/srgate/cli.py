@@ -495,21 +495,24 @@ def _cmd_sweep(args) -> int:
 
 def _read_points(path: str) -> list[costmod.MethodPoint]:
     points = []
+    names = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for i, row in enumerate(reader, start=2):
             try:
-                points.append(
-                    costmod.MethodPoint(
-                        name=row["name"],
-                        accuracy=float(row["accuracy"]),
-                        cost=float(row["cost"]),
-                        fps=float(row["fps"]),
-                        power_w=float(row["power"]),
-                    )
+                point = costmod.MethodPoint(
+                    name=row["name"],
+                    accuracy=float(row["accuracy"]),
+                    cost=float(row["cost"]),
+                    fps=float(row["fps"]),
+                    power_w=float(row["power"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise err.MalformedRecord(i, f"bad method point: {exc}") from exc
+            if point.name in names:
+                raise err.MalformedRecord(i, f"duplicate method name {point.name!r}")
+            names.add(point.name)
+            points.append(point)
     if not points:
         raise err.EmptyInput(f"{path}: no method points")
     return points

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -137,10 +138,11 @@ class MethodPoint:
     power_w: float
 
     def __post_init__(self):
+        # each check fails on NaN
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must lie in [0,1]")
-        if self.cost <= 0 or self.fps <= 0 or self.power_w <= 0:
-            raise ValueError("cost, fps and power must be positive")
+        if not all(0.0 < v < math.inf for v in (self.cost, self.fps, self.power_w)):
+            raise ValueError("cost, fps and power must be positive and finite")
 
 
 def efficiency(m: MethodPoint, baseline: MethodPoint) -> float:

@@ -1075,6 +1075,36 @@ def test_quality_holds_at_most_three_frames_at_once(tmp_path, monkeypatch):
     assert peak <= 3
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["car4x,0.359,inf,4.2,26.4", "car4x,0.359,143.0,nan,26.4", "car4x,0.359,143.0,4.2,inf",
+     "car4x,nan,143.0,4.2,26.4"],
+    ids=["cost-inf", "fps-nan", "power-inf", "accuracy-nan"],
+)
+def test_pareto_non_finite_value_exits_3_naming_the_line(tmp_path, capsys, row):
+    points = tmp_path / "methods.csv"
+    points.write_text(f"name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\n{row}\n")
+    out = tmp_path / "pareto"
+    assert run_cli(["pareto", "--points", str(points), "--out", str(out)]) == 3
+    assert "line 3: bad method point" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pareto_duplicate_method_name_exits_3_naming_the_line(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text(
+        "name,accuracy,cost,fps,power\n"
+        "base,0.287,1.2,52.4,5.0\n"
+        "car4x,0.359,143.0,4.2,26.4\n"
+        "base,0.30,2.0,40.0,5.0\n"
+    )
+    out = tmp_path / "pareto"
+    argv = ["pareto", "--points", str(points), "--baseline", "base", "--out", str(out)]
+    assert run_cli(argv) == 3
+    assert "line 4: duplicate method name 'base'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_converts_its_log_once(stream_log, tmp_path, monkeypatch):
     calls = count_conversions(monkeypatch)
     argv = ["calibrate", "--log", stream_log, "--seed", "1", "--resamples", "5",
