@@ -55,17 +55,6 @@ def _write_json(path: str, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object whose keys are all distinct; json.load would keep the
-    last of a repeated key's values, so a repeat is an error (exit 2)."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"config key {key!r} is given more than once")
-        obj[key] = value
-    return obj
-
-
 def _load_config_file(path: str | None) -> dict:
     """The JSON object in the config file at `path`; a ValueError (exit 2)
     names the file, and for invalid JSON json's line and column."""
@@ -73,13 +62,15 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=schema.unique_object)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
         except UnicodeDecodeError:
             raise ValueError(f"{path}: config file is not UTF-8 text") from None
+        except schema.RepeatedKey as exc:
+            raise ValueError(f"{path}: config key {exc.key!r} is given more than once") from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
@@ -496,8 +487,8 @@ def _cmd_sweep(args) -> int:
 def _read_points(path: str) -> list[costmod.MethodPoint]:
     points = []
     names = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(records.utf8_lines(fh))
         for i, row in enumerate(reader, start=2):
             try:
                 point = costmod.MethodPoint(

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ CLASSES = make_classes()
 CRITICAL_IDS = frozenset(c.id for c in CLASSES if c.critical)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     """One observation from the upstream classifier.
 
@@ -108,6 +108,7 @@ class PredictionRecord:
     flag of the *predicted* class (the true class is unknown at inference
     time). Optional fields stay ``None`` when the upstream stage did not
     produce them; operations that need them raise rather than default.
+    Slotted, since a run holds one per logged frame until it ends.
     """
 
     subject_id: str
@@ -208,16 +209,21 @@ _REQUIRED = frozenset(_REQUIRED_KEYS)
 _KNOWN = _REQUIRED | frozenset(_OPTIONAL_KEYS)
 
 
-def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionRecord:
+def _record_from_obj(
+    obj: Mapping, line_no: int, strict: bool, subjects: dict[str, str]
+) -> tuple[PredictionRecord, set[str]]:
+    """The record of one decoded line, and the unknown keys it ignored.
+
+    `subjects` maps each subject id seen so far to the one string that every
+    record of that subject holds.
+    """
     keys = obj.keys()
     if not keys >= _REQUIRED:
         missing = [k for k in _REQUIRED_KEYS if k not in obj]
         raise MalformedRecord(line_no, f"missing keys: {missing}")
     unknown = keys - _KNOWN
-    if unknown:
-        if strict:
-            raise MalformedRecord(line_no, f"unknown keys: {sorted(unknown)}")
-        log.warning("line %d: ignoring unknown keys %s", line_no, sorted(unknown))
+    if unknown and strict:
+        raise MalformedRecord(line_no, f"unknown keys: {sorted(unknown)}")
     for key, kinds, want in _FIELD_TYPES:
         value = obj.get(key)
         if type(value) not in kinds:
@@ -227,16 +233,23 @@ def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionReco
         raise MalformedRecord(
             line_no, f"probs: expected an array of JSON numbers, got {json.dumps(probs)}"
         )
+    subject = obj["subject_id"]
     artifact = obj.get("artifact_score")
     loss = obj.get("perceptual_loss")
     ssim = obj.get("ssim_vs_hr")
     try:
+        # One float object per distinct nonzero entry, which `confidence`
+        # reuses: equal nonzero floats have identical bits. Zeros never
+        # merge (0.0 == -0.0 but their signs differ), nor does NaN.
+        shared: dict[float, float] = {}
+        probs = tuple([shared.setdefault(p, p) if p else p for p in map(float, probs)])
+        confidence = float(obj["confidence"])
         rec = PredictionRecord(
-            subject_id=obj["subject_id"],
+            subject_id=subjects.setdefault(subject, subject),
             clip_id=obj["clip_id"],
             true_class=obj["true_class"],
-            probs=tuple(map(float, probs)),
-            confidence=float(obj["confidence"]),
+            probs=probs,
+            confidence=shared.get(confidence, confidence),
             criticality=obj["criticality"],
             blur=float(obj["blur"]),
             lighting=float(obj["lighting"]),
@@ -253,7 +266,27 @@ def _record_from_obj(obj: Mapping, line_no: int, strict: bool) -> PredictionReco
         if first.field == "probs" and "sum" in first.rule:
             raise ProbSumViolation(line_no, str(first))
         raise MalformedRecord(line_no, "; ".join(str(v) for v in violations))
-    return rec
+    return rec, unknown
+
+
+# json.loads keeps the last value of a repeated key; a log line must not repeat one
+_decode_line = json.JSONDecoder(object_pairs_hook=schema.unique_object).decode
+
+
+def utf8_lines(fh: Iterable[str]) -> Iterator[str]:
+    """The lines of a text file opened with ``errors="surrogateescape"``.
+
+    A decoding error in text mode names no line, so the file is read with
+    each undecodable byte escaped, and the first line holding one raises
+    MalformedRecord. Only a non-ASCII line can hold one.
+    """
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedRecord(line_no, "not UTF-8 text") from None
+        yield line
 
 
 def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
@@ -261,21 +294,42 @@ def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
 
     Returns records in file order. Raises MalformedRecord/ProbSumViolation
     with the 1-based line number on the first bad line, EmptyLog if no
-    records remain.
+    records remain. A line is bad too if it is not UTF-8, not one JSON
+    object, or repeats a key. Unknown keys fail under `strict`; otherwise
+    one warning names them once the whole log is read.
+
+    A run holds every record until it ends, so the records of one log share
+    one string per subject id, and each record one float per distinct
+    nonzero probability.
     """
     records: list[PredictionRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    subjects: dict[str, str] = {}
+    unknown: set[str] = set()
+    unknown_lines = first_unknown = 0
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(utf8_lines(fh), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _decode_line(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
+            except schema.RepeatedKey as exc:
+                raise MalformedRecord(line_no, f"repeated key {exc.key!r}") from None
             if not isinstance(obj, dict):
                 raise MalformedRecord(line_no, "record is not an object")
-            records.append(_record_from_obj(obj, line_no, strict))
+            rec, extra = _record_from_obj(obj, line_no, strict, subjects)
+            if extra:
+                unknown |= extra
+                unknown_lines += 1
+                first_unknown = first_unknown or line_no
+            records.append(rec)
+    if unknown:
+        log.warning(
+            "ignoring unknown keys %s on %d line(s), first on line %d",
+            sorted(unknown), unknown_lines, first_unknown,
+        )
     if not records:
         raise EmptyLog(path)
     return records

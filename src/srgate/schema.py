@@ -40,6 +40,27 @@ _FLOAT_MAX = sys.float_info.max
 NUMBER_TYPES = frozenset({int, float})
 
 
+class RepeatedKey(ValueError):
+    """A JSON object names `key` twice."""
+
+    def __init__(self, key: str):
+        super().__init__(f"key {key!r} is given more than once")
+        self.key = key
+
+
+def unique_object(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` that rejects a repeated key, of which json
+    would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 @functools.cache
 def _fields(cls: type) -> tuple:
     """(name, JSON key, type hint, keyed_by labels) for each field."""

@@ -147,7 +147,7 @@ def loso_splits(records: Sequence[PredictionRecord]) -> list[LosoFold]:
 
 # --- policy evaluation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalOutcome:
     """Final state of one record after gating, SR effect, and guard. `pred`
     is None where the record's own probability vector stands; otherwise

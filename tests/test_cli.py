@@ -1105,6 +1105,39 @@ def test_pareto_duplicate_method_name_exits_3_naming_the_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def _not_utf8_at_line_3(path):
+    good = json.dumps(record_to_obj(make_record())).encode()
+    path.write_bytes(b"\n".join([good, good, good.replace(b'"c0"', b'"c\xff"')]) + b"\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("subcommand", ["gate", "loso-eval", "calibrate", "guard", "sweep"])
+def test_log_not_utf8_exits_3_naming_the_line(tmp_path, capsys, subcommand):
+    log = _not_utf8_at_line_3(tmp_path / "bad.log")
+    argv = _argv(subcommand, log, str(tmp_path / "o")) + ["--seed", "1"] * (subcommand == "calibrate")
+    assert run_cli(argv) == 3
+    assert "line 3: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_pareto_points_not_utf8_exits_3_naming_the_line(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_bytes(
+        b"name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\ncar\xff4x,0.359,143.0,4.2,26.4\n"
+    )
+    out = tmp_path / "pareto"
+    assert run_cli(["pareto", "--points", str(points), "--out", str(out)]) == 3
+    assert "line 3: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_log_line_repeating_a_key_exits_3_naming_it(tmp_path, capsys):
+    line = json.dumps(record_to_obj(make_record(confidence=0.7)))
+    log = tmp_path / "preds.log"
+    log.write_text(line.replace('"criticality": 0', '"criticality": 0, "criticality": 1') + "\n")
+    assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path / "o")]) == 3
+    assert "line 1: repeated key 'criticality'" in capsys.readouterr().err
+
+
 def test_calibrate_converts_its_log_once(stream_log, tmp_path, monkeypatch):
     calls = count_conversions(monkeypatch)
     argv = ["calibrate", "--log", stream_log, "--seed", "1", "--resamples", "5",

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import gc
+import json
+import logging
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from helpers import make_record, random_records
+from srgate.config import ExperimentConfig
 from srgate.errors import (
     EmptyInput,
     EmptyLog,
@@ -29,6 +34,7 @@ from srgate.records import (
     validate_record,
     write_log,
 )
+from srgate.simulate import EvalOutcome, sample_stream
 
 
 def test_taxonomy_has_seven_classes_with_default_critical_set():
@@ -204,3 +210,83 @@ def test_utility_weight_uses_criticality_flag():
     u = UtilityParams()
     assert u.weight(1) == 2.5
     assert u.weight(0) == 1.0
+
+
+def _stream_log(tmp_path, n_per_class, n_subjects, **optional):
+    recs = sample_stream(ExperimentConfig().scenario.model, n_per_class, n_subjects, seed=5)
+    path = tmp_path / "stream.log"
+    write_log([replace(r, **optional) for r in recs], str(path))
+    return str(path)
+
+
+def test_ingest_reads_utf8_text_and_every_newline_convention(tmp_path):
+    lines = [json.dumps(record_to_obj(make_record(subject=s)), ensure_ascii=False)
+             for s in ("Zoë", "S02", "Zoë")]
+    path = tmp_path / "preds.log"
+    path.write_bytes("\r".join(lines).encode("utf-8") + b"\r\n")
+    assert [r.subject_id for r in ingest_log(str(path))] == ["Zoë", "S02", "Zoë"]
+
+
+def test_lenient_ingest_warns_once_for_all_unknown_keys(tmp_path, caplog):
+    objs = [record_to_obj(make_record(clip=f"c{i}")) for i in range(3)]
+    objs[1]["mystery"] = 1
+    objs[2].update(zeta=2, mystery=1)
+    path = tmp_path / "preds.log"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    with caplog.at_level(logging.WARNING, logger="srgate.records"):
+        assert len(ingest_log(str(path))) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignoring unknown keys ['mystery', 'zeta'] on 2 line(s), first on line 2"
+    ]
+
+
+def test_ingest_shares_repeated_probabilities_and_subject_ids(tmp_path):
+    got = ingest_log(_stream_log(tmp_path, 20, 4))
+    for r in got:
+        nonzero = [p for p in r.probs if p]
+        assert len({id(p) for p in nonzero}) == len(set(nonzero))
+        assert r.confidence is r.probs[r.predicted_class]
+    ids = {}
+    for r in got:
+        ids.setdefault(r.subject_id, set()).add(id(r.subject_id))
+    assert len(ids) == 4 and all(len(one) == 1 for one in ids.values())
+
+
+def test_ingest_keeps_the_sign_of_each_zero(tmp_path):
+    obj = record_to_obj(make_record(confidence=0.5))
+    obj["probs"] = [0.5, -0.0, 0.5, 0.0, -0.0, 0.0, 0.0]
+    path = tmp_path / "preds.log"
+    path.write_text(json.dumps(obj) + "\n")
+    [r] = ingest_log(str(path))
+    assert [math.copysign(1.0, p) for p in r.probs] == [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
+    assert r.probs[0] is r.probs[2] is r.confidence
+
+
+@pytest.mark.parametrize(
+    "value",
+    [make_record(confidence=0.9), EvalOutcome(None, 0.9, SRLevel.NONE, False, False, None)],
+    ids=["PredictionRecord", "EvalOutcome"],
+)
+def test_types_kept_per_record_are_slotted_and_frozen(value):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        value.confidence = 0.5
+    changed = replace(value, confidence=0.5)
+    assert (changed.confidence, value.confidence) == (0.5, 0.9)
+
+
+def test_ingest_keeps_few_live_bytes_per_record(tmp_path):
+    """Live bytes per ingested record, optional fields present: 698 before
+    the records were slotted and shared their repeated values, 455 after
+    (Python 3.11, 64-bit)."""
+    path = _stream_log(tmp_path, 715, 24, artifact_score=0.3, perceptual_loss=0.5, ssim_vs_hr=0.9)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = ingest_log(path)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 5005
+    assert live / len(got) < 575
