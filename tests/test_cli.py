@@ -1105,16 +1105,14 @@ def test_pareto_duplicate_method_name_exits_3_naming_the_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def _not_utf8_at_line_3(path):
-    good = json.dumps(record_to_obj(make_record())).encode()
-    path.write_bytes(b"\n".join([good, good, good.replace(b'"c0"', b'"c\xff"')]) + b"\n")
-    return str(path)
-
-
 @pytest.mark.parametrize("subcommand", ["gate", "loso-eval", "calibrate", "guard", "sweep"])
 def test_log_not_utf8_exits_3_naming_the_line(tmp_path, capsys, subcommand):
-    log = _not_utf8_at_line_3(tmp_path / "bad.log")
-    argv = _argv(subcommand, log, str(tmp_path / "o")) + ["--seed", "1"] * (subcommand == "calibrate")
+    good = json.dumps(record_to_obj(make_record())).encode()
+    log = tmp_path / "bad.log"
+    log.write_bytes(b"\n".join([good, good, good.replace(b'"c0"', b'"c\xff"')]) + b"\n")
+    argv = _argv(subcommand, str(log), str(tmp_path / "o"))
+    if subcommand == "calibrate":
+        argv += ["--seed", "1"]
     assert run_cli(argv) == 3
     assert "line 3: not UTF-8 text" in capsys.readouterr().err
 
