@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,19 +68,12 @@ class CostProfile:
         dim = dimension or self.utility_dimension
         return self.entry(level).get(dim) - self.none.get(dim)
 
-    @cached_property
-    def _utility_costs(self) -> tuple[float, float, float]:
+    def utility_costs(self) -> tuple[float, float, float]:
+        """Normalized cost per level used by the utility tradeoff: NONE=0, X4=1."""
         denom = self.increment(SRLevel.X4)
         if denom == 0.0:
             return (0.0, 0.0, 0.0)
         return tuple(self.increment(level) / denom for level in SRLevel)
-
-    def utility_cost(self, level: SRLevel) -> float:
-        """Normalized cost used by the utility tradeoff: NONE=0, X4=1."""
-        return self._utility_costs[int(level)]
-
-    def utility_costs(self) -> tuple[float, float, float]:
-        return self._utility_costs
 
 
 @dataclass(frozen=True)

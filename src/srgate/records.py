@@ -74,29 +74,14 @@ CLASS_NAMES = (
     "drowsiness",
 )
 
-DEFAULT_CRITICAL = frozenset({"drowsiness", "phone_call", "texting"})
+# the safety-critical behaviours: a fixed set, weighted up by the utility
+CRITICAL_NAMES = frozenset({"drowsiness", "phone_call", "texting"})
 
 NUM_CLASSES = len(CLASS_NAMES)
 
-
-def make_classes(critical: Iterable[str] = DEFAULT_CRITICAL) -> tuple[BehaviorClass, ...]:
-    """Build the 7-class taxonomy with a configurable critical set.
-
-    The critical set may be changed but never emptied: safety weighting
-    without critical classes is a configuration error.
-    """
-    crit = frozenset(critical)
-    if not crit:
-        raise ValueError("critical class set must not be empty")
-    unknown = crit - set(CLASS_NAMES)
-    if unknown:
-        raise ValueError(f"unknown class names in critical set: {sorted(unknown)}")
-    return tuple(
-        BehaviorClass(i, name, name in crit) for i, name in enumerate(CLASS_NAMES)
-    )
-
-
-CLASSES = make_classes()
+CLASSES = tuple(
+    BehaviorClass(i, name, name in CRITICAL_NAMES) for i, name in enumerate(CLASS_NAMES)
+)
 CRITICAL_IDS = frozenset(c.id for c in CLASSES if c.critical)
 
 
@@ -233,7 +218,7 @@ def _record_from_obj(
         raise MalformedRecord(
             line_no, f"probs: expected an array of JSON numbers, got {json.dumps(probs)}"
         )
-    subject = obj["subject_id"]
+    subject, clip = obj["subject_id"], obj["clip_id"]
     artifact = obj.get("artifact_score")
     loss = obj.get("perceptual_loss")
     ssim = obj.get("ssim_vs_hr")
@@ -246,7 +231,7 @@ def _record_from_obj(
         confidence = float(obj["confidence"])
         rec = PredictionRecord(
             subject_id=subjects.setdefault(subject, subject),
-            clip_id=obj["clip_id"],
+            clip_id=clip,
             true_class=obj["true_class"],
             probs=probs,
             confidence=shared.get(confidence, confidence),
@@ -263,9 +248,9 @@ def _record_from_obj(
     violations = validate_record(rec)
     if violations:
         first = violations[0]
-        if first.field == "probs" and "sum" in first.rule:
-            raise ProbSumViolation(line_no, str(first))
-        raise MalformedRecord(line_no, "; ".join(str(v) for v in violations))
+        bad_sum = first.field == "probs" and "sum" in first.rule
+        error = ProbSumViolation if bad_sum else MalformedRecord
+        raise error(line_no, "; ".join(str(v) for v in violations))
     return rec, unknown
 
 
@@ -388,11 +373,6 @@ def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
         pred=pred,
         correct=pred == true_class,
     )
-
-
-def subjects_of(records: Sequence[PredictionRecord]) -> list[str]:
-    """Distinct subject ids in sorted order."""
-    return sorted({r.subject_id for r in records})
 
 
 @dataclass(frozen=True)

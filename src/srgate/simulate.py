@@ -13,7 +13,7 @@ on evaluation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ from .records import (
     RecordArrays,
     SRLevel,
     record_arrays,
-    subjects_of,
     validate_record,
 )
 
@@ -131,17 +130,21 @@ def sample_stream(
 
 @dataclass(frozen=True)
 class LosoFold:
+    """One fold; `rows` are the indices of the test subject's records, ascending."""
+
     test_subject: str
     train_subjects: tuple[str, ...]
+    rows: np.ndarray = field(compare=False, repr=False)
 
 
 def loso_splits(records: Sequence[PredictionRecord]) -> list[LosoFold]:
     """One fold per subject, ordered by subject id."""
-    subjects = subjects_of(records)
+    subjects, groups = calibration.subject_groups(records)
     if len(subjects) < 2:
         raise TooFewSubjects(f"need >= 2 subjects, got {len(subjects)}")
     return [
-        LosoFold(s, tuple(t for t in subjects if t != s)) for s in subjects
+        LosoFold(s, tuple(t for t in subjects if t != s), rows)
+        for s, rows in zip(subjects, groups)
     ]
 
 
@@ -377,7 +380,7 @@ def run_experiment_with_outcomes(
     and its CIs, pooled cost, guard counts and critical false positives
     come from those arrays, and every fold's accuracy, ECE, Brier, cost,
     triggers and critical false positives from the rows of its test
-    subject, selected by an integer index array.
+    subject, the index array ``LosoFold.rows`` of ``loso_splits``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
@@ -388,10 +391,7 @@ def run_experiment_with_outcomes(
         if violations:
             raise MalformedRecord(i + 1, "; ".join(str(v) for v in violations))
 
-    # one fold per subject, in sorted order, scoring that subject's rows
-    subjects, groups = calibration.subject_groups(records)
-    if len(subjects) < 2:
-        raise TooFewSubjects(f"need >= 2 subjects, got {len(subjects)}")
+    folds = loso_splits(records)
     outcomes = evaluate_records(records, policy, config, seed)
     arrays = final_arrays(record_arrays(records), outcomes)
     pooled = pooled_calibration(records, arrays, config, seed)
@@ -412,11 +412,12 @@ def run_experiment_with_outcomes(
     cost = accumulate_cost(levels, config.costs)
 
     fold_results = []
-    for subject, idx in zip(subjects, groups):
+    for fold in folds:
+        idx = fold.rows
         rows = RecordArrays(*(column[idx] for column in arrays))
         fold_results.append(
             FoldResult(
-                test_subject=subject,
+                test_subject=fold.test_subject,
                 n=len(idx),
                 accuracy=calibration.accuracy(rows),
                 ece=calibration.ece(rows, config.bins),

@@ -955,7 +955,7 @@ def test_gate_utility_columns_are_the_audit_of_adaptive_rows_only(stream_log, tm
                 gating.expected_utility(
                     gating.delta_acc_estimate(config.utility, rec.predicted_class, level, rec.confidence),
                     config.utility.weight(rec.criticality),
-                    config.costs.utility_cost(level),
+                    config.costs.utility_costs()[level],
                     config.utility.lam,
                 )
                 for level in records.SRLevel

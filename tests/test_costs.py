@@ -39,9 +39,10 @@ def test_accumulate_cost_counts_a_level_array_like_a_level_list():
 
 
 def test_utility_cost_normalization():
-    assert C.utility_cost(SRLevel.NONE) == 0.0
-    assert C.utility_cost(SRLevel.X4) == 1.0
-    assert C.utility_cost(SRLevel.X2) == pytest.approx(0.25, abs=1e-12)
+    none, x2, x4 = C.utility_costs()
+    assert none == 0.0
+    assert x4 == 1.0
+    assert x2 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_profile_rejects_decreasing_costs():
@@ -63,7 +64,7 @@ def test_accumulate_zero_increment_profile():
     )
     summary = accumulate_cost([SRLevel.NONE, SRLevel.X2, SRLevel.X4], flat)
     assert summary.mean_gflops == pytest.approx(2.3, abs=1e-12)
-    assert flat.utility_cost(SRLevel.X4) == 0.0
+    assert flat.utility_costs()[SRLevel.X4] == 0.0
 
 
 def test_accumulate_even_mix_of_none_and_4x():

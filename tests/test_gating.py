@@ -159,7 +159,7 @@ def _expected_utilities(params, costs, class_id, c, p):
         expected_utility(
             delta_acc_estimate(params, class_id, level, p),
             params.weight(c),
-            costs.utility_cost(level),
+            costs.utility_costs()[level],
             params.lam,
         )
         for level in SRLevel

@@ -27,10 +27,8 @@ from srgate.records import (
     UtilityParams,
     default_delta_acc_table,
     ingest_log,
-    make_classes,
     record_arrays,
     record_to_obj,
-    subjects_of,
     validate_record,
     write_log,
 )
@@ -42,15 +40,6 @@ def test_taxonomy_has_seven_classes_with_default_critical_set():
     critical = {c.name for c in CLASSES if c.critical}
     assert critical == {"drowsiness", "phone_call", "texting"}
     assert [c.id for c in CLASSES] == list(range(7))
-
-
-def test_critical_set_configurable_but_never_empty():
-    classes = make_classes({"drinking"})
-    assert [c.name for c in classes if c.critical] == ["drinking"]
-    with pytest.raises(ValueError):
-        make_classes(set())
-    with pytest.raises(ValueError):
-        make_classes({"nonexistent"})
 
 
 def test_ingest_preserves_file_order(tmp_path):
@@ -84,7 +73,7 @@ def test_ingest_counts_24_subjects(tmp_path):
         for j in range(3)
     ]
     write_log(recs, str(path))
-    assert len(subjects_of(ingest_log(str(path)))) == 24
+    assert len({r.subject_id for r in ingest_log(str(path))}) == 24
 
 
 def test_ingest_empty_log_raises(tmp_path):
