@@ -488,8 +488,16 @@ def _read_points(path: str) -> list[costmod.MethodPoint]:
     points = []
     names = set()
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(records.utf8_lines(fh))
-        for i, row in enumerate(reader, start=2):
+        reader = csv.reader(records.utf8_lines(fh))
+        header = next(reader, [])
+        # a quoted field may span lines: a row is named by its first line
+        end = reader.line_num
+        for values in reader:
+            line_no, end = end + 1, reader.line_num
+            if not values:
+                continue
+            # as csv.DictReader reads it: a short row's last keys are None
+            row = dict(zip(header, values + [None] * (len(header) - len(values))))
             try:
                 point = costmod.MethodPoint(
                     name=row["name"],
@@ -499,9 +507,9 @@ def _read_points(path: str) -> list[costmod.MethodPoint]:
                     power_w=float(row["power"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise err.MalformedRecord(i, f"bad method point: {exc}") from exc
+                raise err.MalformedRecord(line_no, f"bad method point: {exc}") from exc
             if point.name in names:
-                raise err.MalformedRecord(i, f"duplicate method name {point.name!r}")
+                raise err.MalformedRecord(line_no, f"duplicate method name {point.name!r}")
             names.add(point.name)
             points.append(point)
     if not points:

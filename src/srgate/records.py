@@ -219,6 +219,14 @@ def _record_from_obj(
             line_no, f"probs: expected an array of JSON numbers, got {json.dumps(probs)}"
         )
     subject, clip = obj["subject_id"], obj["clip_id"]
+    if not (subject.isascii() and clip.isascii()):
+        # a JSON escape can spell a lone surrogate, which no output can encode
+        for key, text in (("subject_id", subject), ("clip_id", clip)):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                bad = text[exc.start]
+                raise MalformedRecord(line_no, f"{key}: lone surrogate {bad!r}") from None
     artifact = obj.get("artifact_score")
     loss = obj.get("perceptual_loss")
     ssim = obj.get("ssim_vs_hr")
@@ -280,8 +288,10 @@ def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
     Returns records in file order. Raises MalformedRecord/ProbSumViolation
     with the 1-based line number on the first bad line, EmptyLog if no
     records remain. A line is bad too if it is not UTF-8, not one JSON
-    object, or repeats a key. Unknown keys fail under `strict`; otherwise
-    one warning names them once the whole log is read.
+    object, repeats a key, or escapes a lone surrogate in an id. The
+    message names every violation of a record, joined with "; ". Unknown
+    keys fail under `strict`; otherwise one warning names them once the
+    whole log is read.
 
     A run holds every record until it ends, so the records of one log share
     one string per subject id, and each record one float per distinct

@@ -1136,6 +1136,64 @@ def test_log_line_repeating_a_key_exits_3_naming_it(tmp_path, capsys):
     assert "line 1: repeated key 'criticality'" in capsys.readouterr().err
 
 
+def test_bad_sum_line_exits_3_naming_every_violation(tmp_path, capsys):
+    good = record_to_obj(make_record())
+    bad = dict(good, probs=[0.3] + [0.1] * 6, confidence=0.5)
+    log = tmp_path / "bad.log"
+    log.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "g"
+    assert run_cli(["gate", "--log", str(log), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "srgate: data error: line 2: probs: sum 0.900000000000 != 1 within 1e-09; "
+        "confidence: confidence != top-1 probability\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["clip_id", "subject_id"])
+@pytest.mark.parametrize("subcommand", ["gate", "loso-eval"])
+def test_log_lone_surrogate_exits_3_naming_line_and_field(tmp_path, capsys, subcommand, field):
+    # two subjects, so that loso-eval would otherwise run to its outputs
+    first = record_to_obj(make_record(subject="S01", clip="c1"))
+    second = dict(record_to_obj(make_record(subject="S02", clip="c2")), **{field: "c\udcff"})
+    log = tmp_path / "bad.log"
+    # json.dumps escapes the surrogate, so the file itself is ASCII
+    log.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n", encoding="ascii")
+    out = tmp_path / "o"
+    assert run_cli(_argv(subcommand, str(log), str(out))) == 3
+    assert f"line 2: {field}: lone surrogate '\\udcff'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ('"bi\ncubic",0.287,1.2,52.4,5.0\ncar4x,0.359,143.0,4.2,26.4\ncar2x,0.3,bad,10.0,10.0\n',
+         "line 5: bad method point"),
+        ('"bi\ncubic",0.287,1.2,52.4,5.0\ncar4x,0.359,143.0,4.2,26.4\ncar4x,0.3,2.0,10.0,10.0\n',
+         "line 5: duplicate method name 'car4x'"),
+        ('bicubic,0.287,1.2,52.4,5.0\n"car\n4x",0.359,inf,4.2,26.4\n', "line 3: bad method point"),
+        ('bicubic,0.287,1.2,52.4,5.0\n\n\ncar4x,0.359,nan,4.2,26.4\n', "line 5: bad method point"),
+    ],
+    ids=["after-multiline-name", "duplicate-after-multiline-name", "multiline-row", "after-blank-lines"],
+)
+def test_pareto_names_the_first_file_line_of_a_bad_row(tmp_path, capsys, rows, message):
+    points = tmp_path / "methods.csv"
+    points.write_text("name,accuracy,cost,fps,power\n" + rows)
+    out = tmp_path / "pareto"
+    assert run_cli(["pareto", "--points", str(points), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pareto_short_row_reads_missing_values_as_none(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text("name,accuracy,cost,fps,power\nbicubic,0.287,1.2\n")
+    assert run_cli(["pareto", "--points", str(points), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "line 2: bad method point: float() argument must be a string or a real number" in err
+
+
 def test_calibrate_converts_its_log_once(stream_log, tmp_path, monkeypatch):
     calls = count_conversions(monkeypatch)
     argv = ["calibrate", "--log", stream_log, "--seed", "1", "--resamples", "5",

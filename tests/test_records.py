@@ -65,6 +65,19 @@ def test_ingest_rejects_bad_prob_sum(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_ingest_bad_sum_names_every_violation(tmp_path):
+    good = record_to_obj(make_record())
+    bad = dict(good, probs=[0.3] + [0.1] * 6, confidence=0.5)
+    path = tmp_path / "preds.log"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ProbSumViolation) as exc:
+        ingest_log(str(path))
+    assert str(exc.value) == (
+        "line 2: probs: sum 0.900000000000 != 1 within 1e-09; "
+        "confidence: confidence != top-1 probability"
+    )
+
+
 def test_ingest_counts_24_subjects(tmp_path):
     path = tmp_path / "preds.log"
     recs = [

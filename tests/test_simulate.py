@@ -91,7 +91,16 @@ def test_loso_partition_invariants_random_logs():
         assert set(fold.train_subjects) | {fold.test_subject} == {
             r.subject_id for r in recs
         }
+        rows = fold.rows.tolist()
+        assert rows == sorted(set(rows))
+        assert {recs[i].subject_id for i in rows} == {fold.test_subject}
+        assert [recs[i].clip_id for i in rows] == test_ids
     assert sorted(seen) == sorted(r.clip_id for r in recs)
+    all_rows = np.concatenate([fold.rows for fold in folds])
+    assert sorted(all_rows.tolist()) == list(range(len(recs)))
+    report = run_experiment(recs, "gate", FAST, seed=1)
+    assert [f.test_subject for f in report.folds] == [f.test_subject for f in folds]
+    assert [f.n for f in report.folds] == [len(fold.rows) for fold in folds]
 
 
 # --- sampling ------------------------------------------------------------------
