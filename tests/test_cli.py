@@ -368,6 +368,32 @@ def test_loso_eval_keeps_sr_effects_of_a_whole_config(stream_log, tmp_path):
     assert echo["scenario"]["sr_effect"] == effect
 
 
+def test_loso_eval_uplift_redraws_the_logged_artifact_score(tmp_path):
+    # Pins current behaviour, not a goal: with a synthetic SR effect on,
+    # every enhanced record's artifact score is drawn from the scenario's
+    # clean range (no hallucination) and the logged score is never read.
+    recs = [
+        make_record(confidence=0.3, predicted=0, true_class=0, subject=s, clip=f"{s}-{i}",
+                    artifact_score=0.9)
+        for s in ("S01", "S02") for i in range(3)
+    ]
+    log = tmp_path / "u.log"
+    write_log(recs, str(log))
+    rows = {}
+    for name, extra in (("plain", []), ("uplift", ["--uplift"])):
+        out = tmp_path / name
+        argv = ["loso-eval", "--log", str(log), "--policy", "gate", "--seed", "7",
+                "--resamples", "0", "--out", str(out), *extra]
+        assert run_cli(argv) == 0
+        rows[name] = _read_csv(out / "guard_outcomes.csv")
+    assert all(r["triggered"] == "True" and float(r["p_artifact"]) == 0.9 for r in rows["plain"])
+    low, high = ExperimentConfig().scenario.sr_effect.clean_score_range
+    for r in rows["uplift"]:
+        assert r["triggered"] == "False"
+        assert float(r["p_artifact"]) != 0.9
+        assert low <= float(r["p_artifact"]) <= high
+
+
 @pytest.mark.parametrize("subcommand", ["gate", "loso-eval", "simulate"])
 def test_config_file_not_an_object_exits_2(stream_log, tmp_path, capsys, subcommand):
     cfg = _write_config(tmp_path, [{"tau_low": 0.5}])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import pareto_oracle
+from helpers import pareto_oracle, random_records
 from srgate.costs import (
     CostProfile,
     LevelCost,
@@ -14,7 +14,8 @@ from srgate.costs import (
     relative_efficiency,
 )
 from srgate.errors import EmptyInput, ZeroNormalizer
-from srgate.records import SRLevel
+from srgate.gating import Thresholds, sensitivity_sweep
+from srgate.records import SRLevel, UtilityParams
 
 C = CostProfile()
 
@@ -89,6 +90,48 @@ def test_accumulate_concatenation_linearity():
         total_a.total_gflops + total_b.total_gflops, abs=1e-9
     )
     assert total_ab.n == total_a.n + total_b.n
+
+
+
+def _random_profile(rng: np.random.Generator) -> CostProfile:
+    """Non-decreasing non-negative costs per dimension; small integers give ties
+    and flat (zero-increment) dimensions."""
+    columns = [
+        np.sort(rng.integers(0, 4, 3) if rng.random() < 0.3 else rng.uniform(0, 50, 3))
+        for _ in range(3)
+    ]
+    none, x2, x4 = (LevelCost(*(float(col[i]) for col in columns)) for i in range(3))
+    dimension = ("gflops", "latency_ms", "power_w")[int(rng.integers(0, 3))]
+    return CostProfile(none=none, x2=x2, x4=x4, utility_dimension=dimension)
+
+
+def test_cost_arithmetic_is_bit_exact_in_level_order():
+    """Totals, utility costs and sweep means equal the plain formulas with
+    the operands in level order, compared by ==, so a reordered sum fails."""
+    rng = np.random.default_rng(16)
+    recs = random_records(rng, 60)
+    for _ in range(200):
+        profile = _random_profile(rng)
+        levels = [SRLevel(int(x)) for x in rng.integers(0, 3, int(rng.integers(1, 40)))]
+        counts = [levels.count(level) for level in SRLevel]
+        summary = accumulate_cost(levels, profile)
+        for dim, total in (
+            ("gflops", summary.total_gflops),
+            ("latency_ms", summary.total_latency_ms),
+            ("power_w", summary.total_power_w),
+        ):
+            c = [getattr(profile.none, dim), getattr(profile.x2, dim), getattr(profile.x4, dim)]
+            assert total == counts[0] * c[0] + counts[1] * c[1] + counts[2] * c[2]
+
+        u = [getattr(e, profile.utility_dimension) for e in (profile.none, profile.x2, profile.x4)]
+        denom = u[2] - u[0]
+        want = (0.0, 0.0, 0.0) if denom == 0.0 else tuple((v - u[0]) / denom for v in u)
+        assert profile.utility_costs() == want
+
+        gflops = np.array([profile.none.gflops, profile.x2.gflops, profile.x4.gflops])
+        for row in sensitivity_sweep(recs, Thresholds(), UtilityParams(), profile, steps=3):
+            hist = np.array([row.n_none, row.n_2x, row.n_4x], dtype=np.float64)
+            assert row.mean_cost_gflops == float(hist @ gflops) / len(recs)
 
 
 # --- relative efficiency --------------------------------------------------------------
