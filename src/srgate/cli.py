@@ -537,10 +537,8 @@ def _cmd_pareto(args) -> int:
     frontier = set(id(p) for p in costmod.pareto_frontier(points))
     rows = []
     for p in points:
-        if p == baseline:
-            rel = 1.0
-        elif ref is None:
-            rel = 0.0
+        if ref is None and p != baseline:
+            rel = 0.0  # every method's efficiency is zero: nothing to normalize by
         else:
             rel = costmod.relative_efficiency(p, baseline, ref)
         rows.append(

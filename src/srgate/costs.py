@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,11 +21,6 @@ class LevelCost:
     gflops: float
     latency_ms: float
     power_w: float
-
-    def get(self, dimension: str) -> float:
-        if dimension not in COST_DIMENSIONS:
-            raise ValueError(f"unknown cost dimension {dimension!r}")
-        return getattr(self, dimension)
 
 
 # The 2x defaults interpolate the measured none/4x endpoints: enhancement
@@ -49,31 +46,27 @@ class CostProfile:
     utility_dimension: str = "gflops"
 
     def __post_init__(self):
-        if self.utility_dimension not in COST_DIMENSIONS:
-            raise ValueError(f"unknown cost dimension {self.utility_dimension!r}")
+        self.per_level(self.utility_dimension)  # rejects an unknown dimension
         for dim in COST_DIMENSIONS:
-            values = [self.none.get(dim), self.x2.get(dim), self.x4.get(dim)]
-            if any(v < 0 for v in values):
+            none, x2, x4 = self.per_level(dim)
+            if any(v < 0 for v in (none, x2, x4)):
                 raise ValueError(f"{dim} costs must be >= 0")
-            if not values[0] <= values[1] <= values[2]:
+            if not none <= x2 <= x4:
                 raise ValueError(f"{dim} costs must be non-decreasing in SR level")
 
-    def entry(self, level: SRLevel) -> LevelCost:
-        return (self.none, self.x2, self.x4)[int(level)]
-
-    def total(self, level: SRLevel, dimension: str | None = None) -> float:
-        return self.entry(level).get(dimension or self.utility_dimension)
-
-    def increment(self, level: SRLevel, dimension: str | None = None) -> float:
-        dim = dimension or self.utility_dimension
-        return self.entry(level).get(dim) - self.none.get(dim)
+    def per_level(self, dimension: str) -> tuple[float, float, float]:
+        """The `dimension` cost of each level, NONE first."""
+        if dimension not in COST_DIMENSIONS:
+            raise ValueError(f"unknown cost dimension {dimension!r}")
+        return tuple(getattr(entry, dimension) for entry in (self.none, self.x2, self.x4))
 
     def utility_costs(self) -> tuple[float, float, float]:
         """Normalized cost per level used by the utility tradeoff: NONE=0, X4=1."""
-        denom = self.increment(SRLevel.X4)
+        costs = self.per_level(self.utility_dimension)
+        base, denom = costs[0], costs[2] - costs[0]
         if denom == 0.0:
             return (0.0, 0.0, 0.0)
-        return tuple(self.increment(level) / denom for level in SRLevel)
+        return tuple((c - base) / denom for c in costs)
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,7 @@ def accumulate_cost(levels: Iterable[SRLevel] | np.ndarray, profile: CostProfile
     if n == 0:
         raise EmptyInput("no decisions to accumulate")
     totals = {
-        dim: sum(
-            counts[int(level)] * profile.total(level, dim) for level in SRLevel
-        )
+        dim: sum(count * cost for count, cost in zip(counts, profile.per_level(dim)))
         for dim in COST_DIMENSIONS
     }
     return CostSummary(
@@ -167,20 +158,13 @@ def pareto_frontier(points: Sequence[MethodPoint]) -> list[MethodPoint]:
     Points with identical coordinates do not dominate each other, so exact
     duplicates on the frontier are all retained.
     """
-    if not points:
-        return []
-    ordered = sorted(points, key=lambda p: p.cost)
     frontier: list[MethodPoint] = []
     best_acc = -float("inf")
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].cost == ordered[i].cost:
-            j += 1
-        group = ordered[i:j]
+    by_cost = operator.attrgetter("cost")
+    for _, same_cost in itertools.groupby(sorted(points, key=by_cost), key=by_cost):
+        group = list(same_cost)
         group_max = max(p.accuracy for p in group)
         if group_max > best_acc:
             frontier.extend(p for p in group if p.accuracy == group_max)
             best_acc = group_max
-        i = j
     return frontier

@@ -30,8 +30,6 @@ from .records import (
     record_arrays,
 )
 
-_LEVELS = (SRLevel.NONE, SRLevel.X2, SRLevel.X4)
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -280,7 +278,7 @@ def sensitivity_sweep(
         a.confidence, a.criticality, util, lo_arr, hi_arr, t.critical_cut
     )
     n = len(records)
-    gflops = np.array([costs.total(level, "gflops") for level in _LEVELS])
+    gflops = np.array(costs.per_level("gflops"))
     rows = []
     for j, (sl, sh) in enumerate(zip(scale_lo, scale_hi)):
         mean_cost = float(hist[j].astype(np.float64) @ gflops) / n
