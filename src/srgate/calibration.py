@@ -100,6 +100,32 @@ def auroc_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
+_NO_TIES = np.empty(0, dtype=np.intp)
+
+
+def _descending(scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None):
+    """The records with positive weight in stable descending score order,
+    and their ties: each i where records i and i + 1 share one step.
+
+    A step is a run of equal scores; NaN equals nothing, so it ends a step.
+    Scores already in strictly descending order (as the bootstrap passes
+    them) tie nowhere and need no sort; any other input already in
+    descending order is not sorted again either, since a stable sort of it
+    is the identity.
+    """
+    if weights is not None:
+        # integer indices: gathering by a boolean mask is several times slower
+        kept = np.flatnonzero(weights > 0)
+        scores, labels, weights = scores[kept], labels[kept], weights[kept]
+    if (scores[1:] < scores[:-1]).all():
+        return scores, labels, weights, _NO_TIES
+    if not (scores[1:] <= scores[:-1]).all():
+        order = np.argsort(-scores, kind="mergesort")
+        scores, labels = scores[order], labels[order]
+        weights = None if weights is None else weights[order]
+    return scores, labels, weights, np.flatnonzero(scores[1:] == scores[:-1])
+
+
 def pr_curve_arrays(
     scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ):
@@ -108,23 +134,10 @@ def pr_curve_arrays(
     Tied scores form a single step. Integer `weights`, if given, count each
     record that many times (0 drops it), so the curve is exactly that of the
     records repeated. Returns (thresholds, precision, recall).
-
-    Two fast paths skip work that cannot change the result. Scores already
-    in descending order (as the bootstrap passes them) are not sorted again,
-    since a stable sort of such input is the identity; NaN fails that test
-    and takes the sort. When no two scores tie, every record ends its own
-    step, so the cumulative counts are returned without gathering group ends
-    (the thresholds may then be `scores` itself).
     """
+    scores, labels, weights, ties = _descending(scores, labels, weights)
     if weights is None:
         weights = np.ones(scores.size, dtype=np.int64)
-    else:
-        # integer indices: gathering by a boolean mask is several times slower
-        kept = np.flatnonzero(weights > 0)
-        scores, labels, weights = scores[kept], labels[kept], weights[kept]
-    if not (scores[1:] <= scores[:-1]).all():
-        order = np.argsort(-scores, kind="mergesort")
-        scores, labels, weights = scores[order], labels[order], weights[order]
     # labels count by truth value; integer weights make the running sums
     # exact, so the last is the total
     tp = np.cumsum(np.where(labels, weights, 0))
@@ -132,26 +145,48 @@ def pr_curve_arrays(
     if n_pos == 0:
         raise DegenerateLabels("need at least one positive")
     predicted = np.cumsum(weights)
-    # a tied group ends where the next score differs, and at the last record
-    last = np.flatnonzero(np.diff(scores))
-    if last.size < scores.size - 1:
-        ends = np.append(last, scores.size - 1)
-        scores, tp, predicted = scores[ends], tp[ends], predicted[ends]
-    precision = tp / predicted
-    recall = tp / n_pos
-    return scores, precision, recall
+    ends = np.delete(np.arange(scores.size), ties)
+    return scores[ends], tp[ends] / predicted[ends], tp[ends] / n_pos
 
 
 def aupr_arrays(
     scores: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ) -> float:
-    """Average precision over the descending-score sweep (step interpolation).
+    """Average precision over the descending-score sweep (step interpolation):
+    the sum over steps of (recall - previous recall) x precision, with the
+    steps of ``pr_curve_arrays``.
 
     `weights` are integer record multiplicities, as in ``pr_curve_arrays``.
+
+    Only the steps holding a positive are scored, and the sum is still
+    exact. A step without a positive has the tp, and so the recall, of the
+    step before it, so its term is exactly +0.0. Scattering the positive
+    steps' terms into zeros therefore rebuilds the full terms array element
+    for element, and the pairwise ``np.sum`` over it returns the same bits.
+    Each positive step's precision and recall come from the same integer tp
+    and predicted counts and the same divisions as on the full curve.
     """
-    _, precision, recall = pr_curve_arrays(scores, labels, weights)
-    prev_recall = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev_recall) * precision))
+    scores, labels, weights, ties = _descending(scores, labels, weights)
+    pos = np.flatnonzero(labels)
+    if pos.size == 0:
+        raise DegenerateLabels("need at least one positive")
+    tp = np.arange(1, pos.size + 1) if weights is None else np.cumsum(weights[pos])
+    step = end = pos
+    if ties.size:
+        # record i lies in step i - (ties before i); a step ends at its last
+        # record, and its tp is that of its last positive
+        step = pos - np.searchsorted(ties, pos)
+        last = np.append(step[1:] != step[:-1], True)
+        step, tp = step[last], tp[last]
+        # ties[j] - j steps end before tie j, so step k spans every tie with
+        # ties[j] - j <= k before its end
+        end = step + np.searchsorted(ties - np.arange(ties.size), step, side="right")
+    predicted = end + 1 if weights is None else np.cumsum(weights)[end]
+    precision = tp / predicted
+    recall = tp / int(tp[-1])
+    terms = np.zeros(scores.size - ties.size)
+    terms[step] = (recall - np.concatenate(([0.0], recall[:-1]))) * precision
+    return float(np.sum(terms))
 
 
 # --- record-level operations ----------------------------------------------------
@@ -233,7 +268,10 @@ def _aupr_by_draw(
 
     A draw holding subject s w_s times is the records weighted by w_s, which
     ``aupr_arrays`` scores exactly as the concatenated resample, bit for bit.
-    The scores are sorted once here, so ``pr_curve_arrays`` skips its sort.
+    The scores are sorted once here, so each draw skips the sort, and where
+    no two scores tie, the search for ties too. Each draw then scores only
+    its steps that hold a positive (see ``aupr_arrays`` for why the sum is
+    still exact), one ``aupr_arrays`` call per draw.
     """
     subject = np.empty(scores.size, dtype=np.int64)
     for s, members in enumerate(groups):
@@ -257,15 +295,21 @@ class SubjectResampling:
     and convert the records once and build each generator once. Make one
     per report, never per process: a table that outlived its report would
     make later runs read warmer than a user's single run. `arrays`, if
-    given, are ``record_arrays(records)``, already built by the caller.
+    given, are ``record_arrays(records)``, and `groups` the second half of
+    ``subject_groups(records)`` (as ``LosoFold.rows`` hold them), each
+    already built by the caller.
     """
 
     def __init__(
-        self, records: Sequence[PredictionRecord], seed: int, arrays: RecordArrays | None = None
+        self,
+        records: Sequence[PredictionRecord],
+        seed: int,
+        arrays: RecordArrays | None = None,
+        groups: Sequence[np.ndarray] | None = None,
     ):
         self.records = records
         self.seed = seed
-        _, self.groups = subject_groups(records)
+        self.groups = subject_groups(records)[1] if groups is None else groups
         self.arrays = record_arrays(records) if arrays is None else arrays
         self._draws: list[np.ndarray] = []
 
@@ -347,8 +391,10 @@ def bootstrap_ci(
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to
     ``aupr_arrays`` on the concatenated resample; every other metric scores
     the concatenated resample itself. Since the records arrive in
-    descending score order, ``pr_curve_arrays`` skips its sort, and on
-    distinct scores its tie-group gathers too.
+    descending score order, ``aupr_arrays`` skips its sort, and on distinct
+    scores its search for ties too. It then scores only the steps that hold
+    a positive: a step without one adds exactly +0.0, so the scattered
+    terms sum to the bits of the full curve's.
 
     `resampling`, a ``SubjectResampling`` of these records and `seed`,
     supplies their subject groups, arrays and draws, so the CIs of one
@@ -417,6 +463,7 @@ def calibration_report(
     level: float = 0.95,
     seed: int = 0,
     arrays: RecordArrays | None = None,
+    groups: Sequence[np.ndarray] | None = None,
 ) -> CalibrationReport:
     """Full calibration summary, optionally with bootstrap CIs.
 
@@ -425,6 +472,9 @@ def calibration_report(
     one conversion of the records to arrays, which the CIs share with their
     subject groups and draws (``SubjectResampling``). Given `arrays` (row i
     for record i) are scored instead; the records then give the CIs' subjects.
+    Given `groups` (each subject's ascending record indices, in subject id
+    order, as ``subject_groups`` returns them) spare the CIs grouping the
+    records again.
     """
     a = _arrays(records if arrays is None else arrays, bins)
     bin_list = reliability_bins(a, bins)
@@ -432,7 +482,7 @@ def calibration_report(
     ci = None
     if ci_metrics:
         ci = {}
-        resampling = SubjectResampling(records, seed, arrays=a)
+        resampling = SubjectResampling(records, seed, arrays=a, groups=groups)
         for name in ci_metrics:
             metric, _, class_part = name.partition(":")
             class_id = int(class_part) if class_part else None

@@ -348,11 +348,55 @@ def record_to_obj(r: PredictionRecord) -> dict:
     return obj
 
 
+_FLOAT = frozenset({float})
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _log_line(r: PredictionRecord) -> str:
+    """``json.dumps(record_to_obj(r))``, built from one template when the ids
+    are exactly str, the classes exactly int (json writes a bool as
+    ``true``) and every real exactly a finite float; any other record goes
+    through ``json.dumps`` itself."""
+    optional = [(key, value) for key in _OPTIONAL_KEYS if (value := getattr(r, key)) is not None]
+    reals = (*r.probs, r.confidence, r.blur, r.lighting, *[value for _, value in optional])
+    if not (
+        type(r.subject_id) is str
+        and type(r.clip_id) is str
+        and type(r.true_class) is int
+        and type(r.criticality) is int
+        and _FLOAT.issuperset(map(type, reals))
+        # a non-finite real (json writes NaN, Infinity) makes the sum
+        # non-finite; a sum that overflows only takes the slow path
+        and math.isfinite(sum(reals))
+    ):
+        return json.dumps(record_to_obj(r))
+    # each distinct value is formatted once (the probabilities repeat, and
+    # confidence is one of them); 0.0 == -0.0, so zeros are never shared
+    text: dict[float, str] = {}
+    parts = []
+    for x in reals:
+        part = text.get(x)
+        if part is None:
+            part = float.__repr__(x)
+            if x:
+                text[x] = part
+        parts.append(part)
+    k = len(r.probs)
+    confidence, blur, lighting = parts[k : k + 3]
+    extra = "".join([f', "{key}": {part}' for (key, _), part in zip(optional, parts[k + 3 :])])
+    return (
+        f'{{"subject_id": {_quote(r.subject_id)}, "clip_id": {_quote(r.clip_id)}, '
+        f'"true_class": {r.true_class}, "probs": [{", ".join(parts[:k])}], '
+        f'"confidence": {confidence}, "criticality": {r.criticality}, '
+        f'"blur": {blur}, "lighting": {lighting}{extra}}}'
+    )
+
+
 def write_log(records: Iterable[PredictionRecord], path: str) -> None:
     """Serialize records one JSON object per line (ingest round-trips)."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(record_to_obj(r)) + "\n")
+            fh.write(_log_line(r) + "\n")
 
 
 class RecordArrays(NamedTuple):

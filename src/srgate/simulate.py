@@ -301,13 +301,17 @@ def pooled_calibration(
     arrays: RecordArrays,
     config: ExperimentConfig,
     seed: int,
+    groups: Sequence[np.ndarray] | None = None,
 ) -> CalibrationReport:
     """The calibration report of all of a run's records, scored on `arrays`
     (their columns), with the CI_METRICS intervals when ``config.resamples``
-    > 0. The intervals resample the records' subjects."""
+    > 0. The intervals resample the records' subjects, whose record indices
+    `groups` give if the caller holds them (the ``LosoFold.rows`` of
+    ``loso_splits``)."""
     return calibration_report(
         records,
         arrays=arrays,
+        groups=groups,
         bins=config.bins,
         ci_metrics=CI_METRICS if config.resamples > 0 else None,
         n_resamples=config.resamples,
@@ -380,7 +384,8 @@ def run_experiment_with_outcomes(
     and its CIs, pooled cost, guard counts and critical false positives
     come from those arrays, and every fold's accuracy, ECE, Brier, cost,
     triggers and critical false positives from the rows of its test
-    subject, the index array ``LosoFold.rows`` of ``loso_splits``.
+    subject, the index array ``LosoFold.rows`` of ``loso_splits``. The CIs
+    resample subjects by those same rows.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
@@ -394,7 +399,7 @@ def run_experiment_with_outcomes(
     folds = loso_splits(records)
     outcomes = evaluate_records(records, policy, config, seed)
     arrays = final_arrays(record_arrays(records), outcomes)
-    pooled = pooled_calibration(records, arrays, config, seed)
+    pooled = pooled_calibration(records, arrays, config, seed, [f.rows for f in folds])
 
     levels = np.fromiter((o.level for o in outcomes), dtype=np.int64, count=len(outcomes))
     triggered = np.fromiter((o.triggered for o in outcomes), dtype=bool, count=len(outcomes))

@@ -33,7 +33,9 @@ from srgate.errors import (
     EmptyInput,
     MetricUndefinedOnResample,
 )
+from srgate.config import ExperimentConfig
 from srgate.records import PredictionRecord, RecordArrays, record_arrays
+from srgate.simulate import loso_splits, run_experiment
 
 
 def _scored_records(confidences, corrects):
@@ -307,8 +309,18 @@ def _frozen_aupr_arrays(scores, labels, weights=None):
 
 def _pr_case(rng, kind):
     n = 1 if kind == "single" else int(rng.integers(2, 60))
-    decimals = 2 if kind in ("presorted-ties", "unsorted-ties") else 12
+    if kind == "large-ties":
+        # more than 128 steps, so np.sum adds them in blocks, pairwise
+        n = int(rng.integers(2_000, 20_001))
+    decimals = {"presorted-ties": 2, "unsorted-ties": 2, "zero-weight-ties": 1}.get(kind, 12)
     scores = np.round(rng.random(n), decimals)
+    if kind == "large-ties":
+        # one or two tie pairs among distinct scores, presorted or not
+        for _ in range(int(rng.integers(1, 3))):
+            i, j = rng.choice(n, size=2, replace=False)
+            scores[j] = scores[i]
+        if rng.random() < 0.5:
+            scores = -np.sort(-scores, kind="stable")
     if kind.startswith("presorted"):
         scores = -np.sort(-scores, kind="stable")
         if kind == "presorted-distinct":
@@ -323,17 +335,22 @@ def _pr_case(rng, kind):
     if kind == "int-labels":
         labels = labels * rng.integers(1, 3, size=labels.size)
     weights = None
-    if kind != "unweighted":
+    if kind != "unweighted" and not (kind == "large-ties" and rng.random() < 0.5):
         weights = rng.integers(0, 4, size=scores.size)
         if kind == "zero-weights":
             weights[rng.random(scores.size) < 0.5] = 0
+        if kind == "zero-weight-ties":
+            # a record dropped from inside a tie group
+            scores[1] = scores[0]
+            weights[rng.integers(0, 2)] = 0
     return scores, labels, weights
 
 
 @pytest.mark.parametrize(
     "kind",
     ["presorted-distinct", "presorted-ties", "unsorted", "unsorted-ties", "zero-weights",
-     "single", "no-positive", "unweighted", "nan", "signed-zero", "int-labels"],
+     "single", "no-positive", "unweighted", "nan", "signed-zero", "int-labels",
+     "large-ties", "zero-weight-ties"],
 )
 def test_pr_curve_fast_paths_match_frozen_reference(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
@@ -356,6 +373,19 @@ def test_pr_curve_fast_paths_match_frozen_reference(kind):
             _frozen_aupr_arrays(scores, labels, weights).hex()
         )
     assert (degenerate == 200) == (kind == "no-positive")
+
+
+def test_equal_infinite_scores_form_one_step():
+    # as equal finite scores do; inf - inf is NaN, so a np.diff test would split them
+    finite = np.array([1.0, 1.0, 0.5, 0.0, 0.0])
+    scores = np.array([np.inf, np.inf, 0.5, -np.inf, -np.inf])
+    labels = np.array([True, False, True, False, True])
+    got = calibration.pr_curve_arrays(scores, labels)
+    want = calibration.pr_curve_arrays(finite, labels)
+    assert got[0].tolist() == [np.inf, 0.5, -np.inf]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.tobytes() == w.tobytes()
+    assert aupr_arrays(scores, labels).hex() == aupr_arrays(finite, labels).hex()
 
 
 # --- bootstrap ------------------------------------------------------------------------
@@ -560,6 +590,24 @@ def test_report_cis_equal_standalone_bootstrap_calls():
         assert report.ci[name] == (lo, hi, 0.9)
     again = calibration_report(recs, ci_metrics=names, n_resamples=40, level=0.9, seed=8)
     assert again == report
+
+
+def test_report_cis_are_bit_identical_with_the_folds_subject_groups(monkeypatch):
+    rng = np.random.default_rng(16)
+    recs = random_records(rng, 150, n_subjects=6)
+    names = ["ece", "aupr:1", "aupr:6", "auroc:2", "brier"]
+    groups = [fold.rows for fold in loso_splits(recs)]
+    handed = calibration_report(recs, ci_metrics=names, n_resamples=40, seed=8, groups=groups)
+    grouped = calibration_report(recs, ci_metrics=names, n_resamples=40, seed=8)
+    for name in names:
+        assert [x.hex() for x in handed.ci[name][:2]] == [x.hex() for x in grouped.ci[name][:2]]
+    # an experiment groups its records once, in loso_splits, and hands the
+    # groups to its pooled report's CIs
+    calls = []
+    real = calibration.subject_groups
+    monkeypatch.setattr(calibration, "subject_groups", lambda rs: calls.append(1) or real(rs))
+    run_experiment(recs, "gate_adaptive", ExperimentConfig(resamples=5), seed=1)
+    assert len(calls) == 1
 
 
 def test_bootstrap_rejects_resampling_of_other_records_or_seed():

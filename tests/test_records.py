@@ -4,11 +4,15 @@ import gc
 import json
 import logging
 import math
+import os
+import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_record, random_records
 from srgate.config import ExperimentConfig
@@ -21,8 +25,10 @@ from srgate.errors import (
     ProbSumViolation,
 )
 from srgate.records import (
+    _OPTIONAL_KEYS,
     CLASSES,
     NUM_CLASSES,
+    PredictionRecord,
     SRLevel,
     UtilityParams,
     default_delta_acc_table,
@@ -159,6 +165,62 @@ def test_roundtrip_preserves_fields(tmp_path):
         assert a.artifact_score == b.artifact_score
         assert a.perceptual_loss == b.perceptual_loss
         assert a.ssim_vs_hr == b.ssim_vs_hr
+
+
+# a real field as a log holds it: a finite float, with the sign of zero,
+# the smallest subnormal and repeated values among them
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 0.0, -0.0, 5e-324, 1.0]),
+)
+# values that json.dumps writes in its own way
+_ODD_REAL = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, 1]),
+    st.integers(-(2**70), 2**70),
+    st.builds(np.float64, st.floats()),
+)
+# id characters, with those json escapes or that need care: quotes, backslashes,
+# commas, controls, non-ASCII and lone surrogates
+_ID_CHARS = st.one_of(st.characters(), st.sampled_from('"\\,:{}\n\x00\x7féØ☃\ud800\udfff'))
+
+
+@st.composite
+def _logged_records(draw):
+    """A record of plain field types, or one with a single odd field."""
+    probs = draw(st.lists(_FINITE, max_size=9))
+    rec = PredictionRecord(
+        subject_id=draw(st.text(_ID_CHARS, max_size=8)),
+        clip_id=draw(st.text(_ID_CHARS, max_size=8)),
+        true_class=draw(st.integers(-3, 9)),
+        probs=tuple(probs),
+        confidence=draw(st.sampled_from(probs) if probs else _FINITE),
+        criticality=draw(st.integers(0, 1)),
+        blur=draw(_FINITE),
+        lighting=draw(_FINITE),
+        **{key: draw(st.one_of(st.none(), _FINITE)) for key in _OPTIONAL_KEYS},
+    )
+    odd = draw(st.one_of(st.none(), st.sampled_from(
+        ["probs", "true_class", "criticality", "confidence", "blur", "lighting", *_OPTIONAL_KEYS]
+    )))
+    if odd == "probs" and probs:
+        probs[draw(st.integers(0, len(probs) - 1))] = draw(_ODD_REAL)
+        rec = replace(rec, probs=tuple(probs))
+    elif odd in ("true_class", "criticality"):
+        rec = replace(rec, **{odd: draw(st.booleans())})
+    elif odd is not None and odd != "probs":
+        rec = replace(rec, **{odd: draw(_ODD_REAL)})
+    return rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_logged_records(), min_size=1, max_size=4))
+def test_write_log_writes_each_record_as_json_dumps_does(recs):
+    want = "".join(json.dumps(record_to_obj(r)) + "\n" for r in recs).encode("ascii")
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "preds.log")
+        write_log(recs, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want
 
 
 def test_every_ingested_record_validates(tmp_path):
