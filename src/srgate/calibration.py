@@ -468,13 +468,16 @@ def calibration_report(
     """Full calibration summary, optionally with bootstrap CIs.
 
     ci_metrics entries are "ece", "brier", "accuracy", or "aupr:<class_id>" /
-    "auroc:<class_id>" for one-vs-rest ranking CIs. The point metrics share
-    one conversion of the records to arrays, which the CIs share with their
-    subject groups and draws (``SubjectResampling``). Given `arrays` (row i
-    for record i) are scored instead; the records then give the CIs' subjects.
-    Given `groups` (each subject's ascending record indices, in subject id
-    order, as ``subject_groups`` returns them) spare the CIs grouping the
-    records again.
+    "auroc:<class_id>" for one-vs-rest ranking CIs. A ranking metric whose
+    point value is None (no positive record of the class, or for AUROC no
+    negative) gets no CI, so `ci` holds no key for it; the other CIs do not
+    change, since draw k depends on the seed and k alone. The point metrics
+    share one conversion of the records to arrays, which the CIs share with
+    their subject groups and draws (``SubjectResampling``). Given `arrays`
+    (row i for record i) are scored instead; the records then give the CIs'
+    subjects. Given `groups` (each subject's ascending record indices, in
+    subject id order, as ``subject_groups`` returns them) spare the CIs
+    grouping the records again.
     """
     a = _arrays(records if arrays is None else arrays, bins)
     bin_list = reliability_bins(a, bins)
@@ -483,9 +486,12 @@ def calibration_report(
     if ci_metrics:
         ci = {}
         resampling = SubjectResampling(records, seed, arrays=a, groups=groups)
+        points = {"aupr": auprs, "auroc": aurocs}
         for name in ci_metrics:
             metric, _, class_part = name.partition(":")
             class_id = int(class_part) if class_part else None
+            if points.get(metric, {}).get(class_id, 0.0) is None:
+                continue  # no record can rank the class, so no draw can either
             lo, hi = bootstrap_ci(
                 records,
                 metric,

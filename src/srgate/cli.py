@@ -24,7 +24,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence, get_args
 
 from . import calibration as cal
@@ -270,7 +270,7 @@ def _write_reliability(out: str, bins) -> None:
     _write_csv(
         os.path.join(out, "reliability.csv"),
         ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
-        [[b.lo, b.hi, b.count, b.mean_conf, b.accuracy] for b in bins],
+        map(astuple, bins),
     )
 
 
@@ -474,11 +474,8 @@ def _cmd_sweep(args) -> int:
     )
     _write_csv(
         os.path.join(out, "sweep.csv"),
-        ["scale_low", "scale_high", "mean_utility", "mean_cost_gflops", "n_none", "n_2x", "n_4x"],
-        [
-            [r.scale_low, r.scale_high, r.mean_utility, r.mean_cost_gflops, r.n_none, r.n_2x, r.n_4x]
-            for r in rows
-        ],
+        [f.name for f in fields(gating.SweepRow)],
+        map(astuple, rows),
     )
     _echo_config(out, _effective(run, config))
     return 0
@@ -541,9 +538,7 @@ def _cmd_pareto(args) -> int:
             rel = 0.0  # every method's efficiency is zero: nothing to normalize by
         else:
             rel = costmod.relative_efficiency(p, baseline, ref)
-        rows.append(
-            [p.name, p.accuracy, p.cost, p.fps, p.power_w, id(p) in frontier, rel]
-        )
+        rows.append([*astuple(p), id(p) in frontier, rel])
     out = _outdir(args)
     _write_csv(
         os.path.join(out, "pareto.csv"),

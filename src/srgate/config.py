@@ -208,6 +208,10 @@ class ExperimentConfig:
             raise ValueError(f"resamples must be an integer >= 0, got {self.resamples!r}")
         if not (number(self.ci_level, numbers.Real) and 0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level must be a number in (0, 1), got {self.ci_level!r}")
+        for name in ("guard_threshold", "guard_discount", "critical_fp_conf_cut"):
+            value = getattr(self, name)
+            if not (number(value, numbers.Real) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -13,14 +13,15 @@ import numpy as np
 from .errors import EmptyInput, ZeroNormalizer
 from .records import SRLevel
 
-COST_DIMENSIONS = ("gflops", "latency_ms", "power_w")
-
 
 @dataclass(frozen=True)
 class LevelCost:
     gflops: float
     latency_ms: float
     power_w: float
+
+
+COST_DIMENSIONS = tuple(f.name for f in fields(LevelCost))
 
 
 # The 2x defaults interpolate the measured none/4x endpoints: enhancement
@@ -98,16 +99,10 @@ def accumulate_cost(levels: Iterable[SRLevel] | np.ndarray, profile: CostProfile
     if n == 0:
         raise EmptyInput("no decisions to accumulate")
     totals = {
-        dim: sum(count * cost for count, cost in zip(counts, profile.per_level(dim)))
+        f"total_{dim}": sum(count * cost for count, cost in zip(counts, profile.per_level(dim)))
         for dim in COST_DIMENSIONS
     }
-    return CostSummary(
-        n=n,
-        histogram=tuple(counts),
-        total_gflops=totals["gflops"],
-        total_latency_ms=totals["latency_ms"],
-        total_power_w=totals["power_w"],
-    )
+    return CostSummary(n=n, histogram=tuple(counts), **totals)
 
 
 @dataclass(frozen=True)

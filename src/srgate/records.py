@@ -13,7 +13,7 @@ import enum
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -170,25 +170,18 @@ def validate_record(r: PredictionRecord) -> list[Violation]:
     return out
 
 
-_OPTIONAL_KEYS = ("artifact_score", "perceptual_loss", "ssim_vs_hr")
-
-# The JSON type of each field, by the schema codec's scalar rules: ids are
-# strings, and a real field is a JSON number, never a bool or a string.
-_STRING = (frozenset({str}), "a JSON string")
-_INTEGER = (frozenset({int}), "a JSON integer")
-_NUMBER = (schema.NUMBER_TYPES, "a JSON number")
-_NUMBER_OR_NULL = (schema.NUMBER_TYPES | {type(None)}, "a JSON number or null")
-_FIELD_TYPES = (
-    ("subject_id", *_STRING),
-    ("clip_id", *_STRING),
-    ("true_class", *_INTEGER),
-    ("probs", frozenset({list}), "an array of JSON numbers"),
-    ("confidence", *_NUMBER),
-    ("criticality", *_INTEGER),
-    ("blur", *_NUMBER),
-    ("lighting", *_NUMBER),
-    *((key, *_NUMBER_OR_NULL) for key in _OPTIONAL_KEYS),
-)
+# The JSON rule of each field type, as the schema codec's scalar rules have
+# it: ids are strings, and a real field is a JSON number, never a bool or a
+# string. The record's own fields, in order, give the log schema.
+_JSON_RULES = {
+    "str": (frozenset({str}), "a JSON string"),
+    "int": (frozenset({int}), "a JSON integer"),
+    "float": (schema.NUMBER_TYPES, "a JSON number"),
+    "float | None": (schema.NUMBER_TYPES | {type(None)}, "a JSON number or null"),
+    "tuple[float, ...]": (frozenset({list}), "an array of JSON numbers"),
+}
+_FIELD_TYPES = tuple((f.name, *_JSON_RULES[f.type]) for f in fields(PredictionRecord))
+_OPTIONAL_KEYS = tuple(f.name for f in fields(PredictionRecord) if f.default is None)
 _REQUIRED_KEYS = tuple(key for key, _, _ in _FIELD_TYPES if key not in _OPTIONAL_KEYS)
 _REQUIRED = frozenset(_REQUIRED_KEYS)
 _KNOWN = _REQUIRED | frozenset(_OPTIONAL_KEYS)
@@ -215,9 +208,8 @@ def _record_from_obj(
             raise MalformedRecord(line_no, f"{key}: expected {want}, got {json.dumps(value)}")
     probs = obj["probs"]
     if not schema.NUMBER_TYPES.issuperset(map(type, probs)):
-        raise MalformedRecord(
-            line_no, f"probs: expected an array of JSON numbers, got {json.dumps(probs)}"
-        )
+        want = _JSON_RULES["tuple[float, ...]"][1]
+        raise MalformedRecord(line_no, f"probs: expected {want}, got {json.dumps(probs)}")
     subject, clip = obj["subject_id"], obj["clip_id"]
     if not (subject.isascii() and clip.isascii()):
         # a JSON escape can spell a lone surrogate, which no output can encode
@@ -331,21 +323,14 @@ def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
 
 
 def record_to_obj(r: PredictionRecord) -> dict:
-    obj = {
-        "subject_id": r.subject_id,
-        "clip_id": r.clip_id,
-        "true_class": r.true_class,
-        "probs": list(r.probs),
-        "confidence": r.confidence,
-        "criticality": r.criticality,
-        "blur": r.blur,
-        "lighting": r.lighting,
+    """The JSON object of a record: its fields in order, an optional one only
+    when set."""
+    values = ((key, getattr(r, key)) for key, _, _ in _FIELD_TYPES)
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in values
+        if value is not None or key not in _OPTIONAL_KEYS
     }
-    for key in _OPTIONAL_KEYS:
-        val = getattr(r, key)
-        if val is not None:
-            obj[key] = val
-    return obj
 
 
 _FLOAT = frozenset({float})

@@ -92,13 +92,19 @@ def sample_stream(
     """Deterministic synthetic prediction stream.
 
     Classes are balanced (n_per_class each) and spread round-robin over
-    subjects. Confidence comes from the class model, correctness from the
-    calibrated link, and wrong predictions land uniformly on the other
-    classes. The criticality flag follows the *predicted* class, matching
-    what an inference-time estimator could know.
+    subjects, so n_subjects may not exceed n_per_class. Confidence comes
+    from the class model, correctness from the calibrated link, and wrong
+    predictions land uniformly on the other classes. The criticality flag
+    follows the *predicted* class, matching what an inference-time
+    estimator could know.
     """
     if n_per_class < 1 or n_subjects < 1:
         raise ValueError("n_per_class and n_subjects must be >= 1")
+    if n_subjects > n_per_class:
+        raise ValueError(
+            f"n_subjects {n_subjects} exceeds n_per_class {n_per_class}: "
+            f"subjects past the first {n_per_class} would hold no record"
+        )
     rng = np.random.default_rng(seed)
     records: list[PredictionRecord] = []
     for class_id in range(NUM_CLASSES):

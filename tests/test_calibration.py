@@ -566,6 +566,23 @@ def test_bootstrap_fails_before_any_draw_on_a_metric_no_draw_defines(
     assert "defined resamples" in message
 
 
+def test_calibration_report_gives_no_ci_to_a_ranking_metric_without_a_point_value():
+    # class 0 has no record: its AUPR and AUROC are None, and so are their CIs
+    recs = [
+        make_record(predicted=k, true_class=k if i % 3 else 3 - k, confidence=0.5 + 0.04 * i,
+                    clip=f"c{i}", subject=f"S{i % 4}")
+        for i in range(12)
+        for k in (1, 2)
+    ]
+    kept = ("ece", "aupr:1", "auroc:2")
+    report = calibration_report(
+        recs, ci_metrics=("aupr:0", *kept, "auroc:0"), n_resamples=20, seed=3
+    )
+    assert report.per_class_aupr[0] is None and report.per_class_auroc[0] is None
+    assert report.ci == calibration_report(recs, ci_metrics=kept, n_resamples=20, seed=3).ci
+    assert list(report.ci) == list(kept)
+
+
 def test_bootstrap_aupr_with_only_positive_records_is_defined():
     # AUPR needs positives only, so a set without negatives is not rejected
     recs = [

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_conversions, make_record
+from srgate import calibration as cal
 from srgate import errors, gating, quality, records
 from srgate.cli import build_parser, run_cli
 from srgate.config import ExperimentConfig
@@ -1008,13 +1009,13 @@ def test_failing_loso_eval_creates_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_failing_calibrate_creates_no_output_directory(tmp_path, capsys):
-    # no record of a critical class, so its AUPR is undefined on every resample
-    log = tmp_path / "noncritical.log"
-    recs = [make_record(subject=f"S{i % 2}", clip=f"c{i}", true_class=i % 2 * 3) for i in range(8)]
-    write_log(recs, str(log))
+def test_failing_calibrate_creates_no_output_directory(stream_log, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise errors.MetricUndefinedOnResample("only 0/5 defined resamples after 50 attempts")
+
+    monkeypatch.setattr(cal, "bootstrap_ci", fail)
     out = tmp_path / "cal"
-    argv = ["calibrate", "--log", str(log), "--seed", "1", "--resamples", "5", "--out", str(out)]
+    argv = ["calibrate", "--log", stream_log, "--seed", "1", "--resamples", "5", "--out", str(out)]
     assert run_cli(argv) == 3
     assert "defined resamples" in capsys.readouterr().err
     assert not out.exists()
@@ -1235,4 +1236,97 @@ def test_pareto_with_an_unknown_baseline_creates_no_output_directory(tmp_path, c
     out = tmp_path / "pareto"
     assert run_cli(["pareto", "--points", str(points), "--baseline", "zz", "--out", str(out)]) == 3
     assert "baseline 'zz' not among points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def no_drowsiness_log(tmp_path):
+    """A 4-subject stream without a record of class 6, drowsiness."""
+    recs = sample_stream(ExperimentConfig().scenario.model, 25, 4, seed=3)
+    path = tmp_path / "no6.log"
+    write_log([r for r in recs if r.true_class != 6], str(path))
+    return str(path)
+
+
+def test_calibrate_skips_the_ci_of_a_class_with_no_record(no_drowsiness_log, tmp_path):
+    out = tmp_path / "cal"
+    argv = ["calibrate", "--log", no_drowsiness_log, "--seed", "1", "--resamples", "50",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    report = json.loads((out / "calibration_report.json").read_text())["calibration"]
+    assert report["per_class_aupr"]["6"] is None
+    assert set(report["ci"]) == {"ece", "aupr:1", "aupr:2"}
+    recs = records.ingest_log(no_drowsiness_log)
+    lo, hi = cal.bootstrap_ci(recs, "ece", n_resamples=50, level=0.95, seed=1, bins=10)
+    assert report["ci"]["ece"] == [lo, hi, 0.95]
+
+
+def test_loso_eval_skips_the_ci_of_a_class_with_no_record(no_drowsiness_log, tmp_path):
+    out = tmp_path / "eval"
+    argv = ["loso-eval", "--log", no_drowsiness_log, "--seed", "1", "--resamples", "50",
+            "--out", str(out)]
+    assert run_cli(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["calibration"]["ci"]) == {"ece", "aupr:1", "aupr:2"}
+
+
+@pytest.mark.parametrize(
+    "subcommand,flag,value",
+    [
+        ("guard", "--guard-discount", "-0.5"),
+        ("guard", "--guard-discount", "1.5"),
+        ("guard", "--guard-threshold", "-0.01"),
+        ("guard", "--guard-threshold", "7"),
+        ("loso-eval", "--guard-discount", "-0.5"),
+        ("loso-eval", "--guard-threshold", "1.01"),
+    ],
+)
+def test_guard_setting_flag_outside_unit_interval_exits_2(
+    stream_log, tmp_path, capsys, subcommand, flag, value
+):
+    out = tmp_path / "o"
+    assert run_cli(_argv(subcommand, stream_log, str(out)) + [flag, value]) == 2
+    name = flag[2:].replace("-", "_")
+    assert f"{name} must be a number in [0, 1], got {float(value)!r}" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("guard_threshold", -0.5),
+        ("guard_threshold", 9.0),
+        ("guard_discount", -0.5),
+        ("guard_discount", 2),
+        ("critical_fp_conf_cut", -3.0),
+        ("critical_fp_conf_cut", 1.5),
+    ],
+)
+def test_guard_setting_in_whole_config_outside_unit_interval_exits_2(
+    stream_log, tmp_path, capsys, key, value
+):
+    full = _whole_config(stream_log, tmp_path)
+    full[key] = value
+    out = tmp_path / "o"
+    argv = _argv("loso-eval", stream_log, str(out)) + ["--config", _write_config(tmp_path, full)]
+    assert run_cli(argv) == 2
+    assert f"{key} must be a number in [0, 1], got {value!r}" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_guard_settings_at_the_ends_of_the_unit_interval_are_accepted(stream_log, tmp_path, value):
+    out = tmp_path / "o"
+    argv = _argv("guard", stream_log, str(out))
+    assert run_cli(argv + ["--guard-threshold", value, "--guard-discount", value]) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert echo["guard_threshold"] == echo["guard_discount"] == float(value)
+
+
+def test_simulate_with_more_subjects_than_records_per_class_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--seed", "1", "--n-per-class", "5", "--subjects", "24",
+            "--resamples", "0", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert "n_subjects 24 exceeds n_per_class 5" in capsys.readouterr().err
     assert not out.exists()

@@ -211,12 +211,34 @@ def test_gate_policy_cost_between_extremes():
 
 
 def test_run_experiment_rejects_bad_policy_and_records():
-    recs = small_stream(n_per_class=4)
+    recs = small_stream(n_per_class=4, subjects=4)
     with pytest.raises(ValueError):
         run_experiment(recs, "sometimes_4x", FAST, seed=1)
     broken = [replace(recs[0], confidence=0.1)] + recs[1:]
     with pytest.raises(MalformedRecord):
         run_experiment(broken, "gate", FAST, seed=1)
+
+
+@pytest.mark.parametrize("name", ["guard_threshold", "guard_discount", "critical_fp_conf_cut"])
+@pytest.mark.parametrize("value", [-0.5, -1e-9, 1.01, 9.0, float("nan"), True, "0.5", None])
+def test_experiment_config_rejects_a_guard_setting_outside_the_unit_interval(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a number in \\[0, 1\\], got "):
+        ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1, 1.0])
+def test_experiment_config_accepts_guard_settings_at_the_ends_of_the_unit_interval(value):
+    names = ("guard_threshold", "guard_discount", "critical_fp_conf_cut")
+    config = ExperimentConfig(**dict.fromkeys(names, value))
+    assert [getattr(config, name) for name in names] == [value] * 3
+
+
+def test_sample_stream_rejects_more_subjects_than_records_per_class():
+    with pytest.raises(ValueError, match="n_subjects 7 exceeds n_per_class 6"):
+        small_stream(n_per_class=6, subjects=7)
+    assert {r.subject_id for r in small_stream(n_per_class=6, subjects=6)} == {
+        f"S{i:02d}" for i in range(1, 7)
+    }
 
 
 def test_run_experiment_deterministic_and_thread_invariant():
