@@ -20,7 +20,7 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import PredictionRecord, RecordArrays, record_arrays
+from .records import PredictionRecord, RecordArrays, record_arrays, subject_codes
 
 Records = Sequence[PredictionRecord] | RecordArrays
 
@@ -252,33 +252,32 @@ def aupr(scores: Sequence[float], labels: Sequence[bool]) -> float:
 MAX_ATTEMPT_FACTOR = 10
 
 
+def _rows_by_subject(codes: np.ndarray) -> list[np.ndarray]:
+    """For each code 0..n-1 in turn, the ascending indices of its rows."""
+    return np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes)))[:-1]
+
+
 def subject_groups(records: Sequence[PredictionRecord]):
     """Sorted subject ids and, for each, the ascending indices of its records."""
-    groups: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        groups.setdefault(r.subject_id, []).append(i)
-    subjects = sorted(groups)
-    return subjects, [np.array(groups[s], dtype=np.int64) for s in subjects]
+    subjects, codes = subject_codes(records)
+    return subjects, _rows_by_subject(codes)
 
 
 def _aupr_by_draw(
-    scores: np.ndarray, labels: np.ndarray, groups: Sequence[np.ndarray]
+    scores: np.ndarray, labels: np.ndarray, subject: np.ndarray
 ) -> Callable[[np.ndarray], float]:
     """AUPR of a subject draw, scored without building the resample.
 
-    A draw holding subject s w_s times is the records weighted by w_s, which
-    ``aupr_arrays`` scores exactly as the concatenated resample, bit for bit.
-    The scores are sorted once here, so each draw skips the sort, and where
-    no two scores tie, the search for ties too. Each draw then scores only
-    its steps that hold a positive (see ``aupr_arrays`` for why the sum is
-    still exact), one ``aupr_arrays`` call per draw.
+    A draw holding subject s w_s times is the records with ``subject`` s
+    weighted by w_s, which ``aupr_arrays`` scores exactly as the concatenated
+    resample, bit for bit. The scores are sorted once here, so each draw
+    skips the sort, and where no two scores tie, the search for ties too.
+    Each draw then scores only its steps that hold a positive (see
+    ``aupr_arrays`` for why the sum is still exact), one call per draw.
     """
-    subject = np.empty(scores.size, dtype=np.int64)
-    for s, members in enumerate(groups):
-        subject[members] = s
     order = np.argsort(-scores, kind="mergesort")
     scores, labels, subject = scores[order], labels[order], subject[order]
-    n_subjects = len(groups)
+    n_subjects = int(subject.max()) + 1
 
     def evaluate(draw: np.ndarray) -> float:
         return aupr_arrays(scores, labels, np.bincount(draw, minlength=n_subjects)[subject])
@@ -287,30 +286,23 @@ def _aupr_by_draw(
 
 
 class SubjectResampling:
-    """The subject groups, arrays and draws of some records, shared by the
+    """The subject groups and draws of some records' columns, shared by the
     bootstrap CIs of one report.
 
-    Draw k is ``default_rng([seed, k]).integers(0, n, n)`` for n subjects.
-    Draws are made on first use and kept, so the CIs of one report group
-    and convert the records once and build each generator once. Make one
-    per report, never per process: a table that outlived its report would
-    make later runs read warmer than a user's single run. `arrays`, if
-    given, are ``record_arrays(records)``, and `groups` the second half of
-    ``subject_groups(records)`` (as ``LosoFold.rows`` hold them), each
-    already built by the caller.
+    The n subjects in ``arrays.subject`` (a row selection may lack some) are
+    renumbered 0..n-1 in id order, and draw k is
+    ``default_rng([seed, k]).integers(0, n, n)``. Draws are made on first
+    use and kept, so the CIs of one report group the records once and build
+    each generator once. Make one per report, never per process: a table
+    that outlived its report would make later runs read warmer than a
+    user's single run.
     """
 
-    def __init__(
-        self,
-        records: Sequence[PredictionRecord],
-        seed: int,
-        arrays: RecordArrays | None = None,
-        groups: Sequence[np.ndarray] | None = None,
-    ):
-        self.records = records
+    def __init__(self, arrays: RecordArrays, seed: int):
+        self.arrays = arrays
         self.seed = seed
-        self.groups = subject_groups(records)[1] if groups is None else groups
-        self.arrays = record_arrays(records) if arrays is None else arrays
+        self.subject = (np.cumsum(np.bincount(arrays.subject) > 0) - 1)[arrays.subject]
+        self.groups = _rows_by_subject(self.subject)
         self._draws: list[np.ndarray] = []
 
     def draw(self, attempt: int) -> np.ndarray:
@@ -359,13 +351,13 @@ def _resolve_metric(
                 " so no resample is defined (0 defined resamples, no draw made)"
             )
         if metric == "aupr":
-            return _aupr_by_draw(scores, labels, groups)
+            return _aupr_by_draw(scores, labels, resampling.subject)
         return on_resample(lambda idx: auroc_arrays(scores[idx], labels[idx]))
     raise ValueError(f"unknown metric {metric!r}")
 
 
 def bootstrap_ci(
-    records: Sequence[PredictionRecord],
+    records: Records,
     metric: str,
     n_resamples: int = 1000,
     level: float = 0.95,
@@ -396,20 +388,19 @@ def bootstrap_ci(
     a positive: a step without one adds exactly +0.0, so the scattered
     terms sum to the bits of the full curve's.
 
-    `resampling`, a ``SubjectResampling`` of these records and `seed`,
-    supplies their subject groups, arrays and draws, so the CIs of one
-    report share them instead of each grouping and converting the records
-    and building the same generators; the interval is the same either way.
+    `resampling`, a ``SubjectResampling`` made from exactly these columns
+    and `seed`, supplies their subject groups and draws, so the CIs of one
+    report share them instead of each grouping the records and building the
+    same generators; the interval is the same either way.
     """
-    if not records:
-        raise EmptyInput("no records")
+    a = _arrays(records)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0,1)")
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     if resampling is None:
-        resampling = SubjectResampling(records, seed)
-    elif resampling.records is not records or resampling.seed != seed:
+        resampling = SubjectResampling(a, seed)
+    elif resampling.arrays is not records or resampling.seed != seed:
         raise ValueError("resampling was made for other records or another seed")
     eval_metric = _resolve_metric(metric, bins, class_id, resampling)
 
@@ -456,14 +447,12 @@ def per_class_ranking(
 
 
 def calibration_report(
-    records: Sequence[PredictionRecord],
+    records: Records,
     bins: int = 10,
     ci_metrics: Sequence[str] | None = None,
     n_resamples: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-    arrays: RecordArrays | None = None,
-    groups: Sequence[np.ndarray] | None = None,
 ) -> CalibrationReport:
     """Full calibration summary, optionally with bootstrap CIs.
 
@@ -472,20 +461,16 @@ def calibration_report(
     point value is None (no positive record of the class, or for AUROC no
     negative) gets no CI, so `ci` holds no key for it; the other CIs do not
     change, since draw k depends on the seed and k alone. The point metrics
-    share one conversion of the records to arrays, which the CIs share with
-    their subject groups and draws (``SubjectResampling``). Given `arrays`
-    (row i for record i) are scored instead; the records then give the CIs'
-    subjects. Given `groups` (each subject's ascending record indices, in
-    subject id order, as ``subject_groups`` returns them) spare the CIs
-    grouping the records again.
+    and the CIs score the same columns, converted once if need be, and the
+    CIs share one subject grouping and set of draws (``SubjectResampling``).
     """
-    a = _arrays(records if arrays is None else arrays, bins)
+    a = _arrays(records, bins)
     bin_list = reliability_bins(a, bins)
     aurocs, auprs = per_class_ranking(a)
     ci = None
     if ci_metrics:
         ci = {}
-        resampling = SubjectResampling(records, seed, arrays=a, groups=groups)
+        resampling = SubjectResampling(a, seed)
         points = {"aupr": auprs, "auroc": aurocs}
         for name in ci_metrics:
             metric, _, class_part = name.partition(":")
@@ -493,7 +478,7 @@ def calibration_report(
             if points.get(metric, {}).get(class_id, 0.0) is None:
                 continue  # no record can rank the class, so no draw can either
             lo, hi = bootstrap_ci(
-                records,
+                a,
                 metric,
                 n_resamples=n_resamples,
                 level=level,
@@ -509,6 +494,6 @@ def calibration_report(
         bins=tuple(bin_list),
         per_class_auroc=aurocs,
         per_class_aupr=auprs,
-        n=len(records),
+        n=a.confidence.size,
         ci=ci,
     )

@@ -389,9 +389,8 @@ def _cmd_calibrate(args) -> int:
     seed = run["seed"]
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
-    recs = records.ingest_log(args.log, strict=args.strict)
-    a = records.record_arrays(recs)
-    report = simulate.pooled_calibration(recs, a, config, 0 if seed is None else seed)
+    a = records.record_arrays(records.ingest_log(args.log, strict=args.strict))
+    report = simulate.pooled_calibration(a, config, 0 if seed is None else seed)
     out = _outdir(args)
     effective = _effective(run, config)
     if args.format in ("report", "both"):

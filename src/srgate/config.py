@@ -27,6 +27,9 @@ from .records import (
 
 POLICIES = ("fixed_none", "fixed_4x", "gate", "gate_adaptive")
 
+# reliability bins and CI resamples a run accepts; far more would not fit in memory
+MAX_BINS, MAX_RESAMPLES = 1000, 100_000
+
 # A 7-way classifier's top-1 probability cannot fall below 1/7; confidence
 # draws are truncated accordingly.
 CONF_FLOOR = 1.0 / NUM_CLASSES
@@ -34,14 +37,16 @@ CONF_FLOOR = 1.0 / NUM_CLASSES
 
 @dataclass(frozen=True)
 class TruncatedNormalSpec:
-    """Normal(mu, sigma) rejection-sampled into the confidence support."""
+    """Normal(mu, sigma) rejection-sampled into the confidence support. With
+    mu in it and sigma <= 10, at least about 3.4% of the mass lies in it, so
+    a draw takes about 30 tries at most on average."""
 
     mu: float
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise InvalidModelParams(f"mu {self.mu} outside [0,1]")
+        if not CONF_FLOOR <= self.mu <= 1.0:
+            raise InvalidModelParams(f"mu {self.mu} outside [1/{NUM_CLASSES},1]")
         if not 0.0 < self.sigma <= 10.0:
             raise InvalidModelParams(f"sigma {self.sigma} outside (0,10]")
 
@@ -154,6 +159,10 @@ class SrEffectConfig:
         for name in ("hallucination_rate_x2", "hallucination_rate_x4"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidModelParams(f"{name} must lie in [0,1]")
+        for name in ("inflation_range", "clean_score_range", "hallucinated_score_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise InvalidModelParams(f"{name} must hold 0 <= lo <= hi <= 1, got {[lo, hi]}")
         if not self.hallucination_targets:
             raise InvalidModelParams("need at least one hallucination target class")
         if not all(0 <= t < NUM_CLASSES for t in self.hallucination_targets):
@@ -202,10 +211,12 @@ class ExperimentConfig:
         def number(value, kind) -> bool:
             return isinstance(value, kind) and not isinstance(value, bool)
 
-        if not (number(self.bins, numbers.Integral) and self.bins >= 1):
-            raise ValueError(f"bins must be an integer >= 1, got {self.bins!r}")
-        if not (number(self.resamples, numbers.Integral) and self.resamples >= 0):
-            raise ValueError(f"resamples must be an integer >= 0, got {self.resamples!r}")
+        if not (number(self.bins, numbers.Integral) and 1 <= self.bins <= MAX_BINS):
+            raise ValueError(f"bins must be an integer in [1, {MAX_BINS}], got {self.bins!r}")
+        if not (number(self.resamples, numbers.Integral) and 0 <= self.resamples <= MAX_RESAMPLES):
+            raise ValueError(
+                f"resamples must be an integer in [0, {MAX_RESAMPLES}], got {self.resamples!r}"
+            )
         if not (number(self.ci_level, numbers.Real) and 0.0 < self.ci_level < 1.0):
             raise ValueError(f"ci_level must be a number in (0, 1), got {self.ci_level!r}")
         for name in ("guard_threshold", "guard_discount", "critical_fp_conf_cut"):

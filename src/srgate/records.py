@@ -393,6 +393,14 @@ class RecordArrays(NamedTuple):
     true_class: np.ndarray  # int64
     pred: np.ndarray  # int64, first maximum as in PredictionRecord.predicted_class
     correct: np.ndarray  # bool
+    subject: np.ndarray  # int64, index of the subject id among the sorted ids
+
+
+def subject_codes(records: Sequence[PredictionRecord]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct subject ids, and each record's index among them."""
+    ids = [r.subject_id for r in records]
+    index = {s: i for i, s in enumerate(sorted(set(ids)))}
+    return list(index), np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
 
 
 def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
@@ -411,6 +419,7 @@ def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
         true_class=true_class,
         pred=pred,
         correct=pred == true_class,
+        subject=subject_codes(records)[1],
     )
 
 

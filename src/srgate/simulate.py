@@ -292,8 +292,10 @@ def final_arrays(arrays: RecordArrays, outcomes: Sequence[EvalOutcome]) -> Recor
     criticality[rows] = _CRITICAL[new_pred]
     pred = arrays.pred.copy()
     pred[rows] = new_pred
-    true_class = arrays.true_class
-    return RecordArrays(confidence, criticality, probs, true_class, pred, pred == true_class)
+    correct = pred == arrays.true_class
+    return arrays._replace(
+        confidence=confidence, criticality=criticality, probs=probs, pred=pred, correct=correct
+    )
 
 
 # --- experiment report ------------------------------------------------------------------
@@ -303,21 +305,12 @@ CI_METRICS = ("ece", *(f"aupr:{k}" for k in sorted(CRITICAL_IDS)))
 
 
 def pooled_calibration(
-    records: Sequence[PredictionRecord],
-    arrays: RecordArrays,
-    config: ExperimentConfig,
-    seed: int,
-    groups: Sequence[np.ndarray] | None = None,
+    arrays: RecordArrays, config: ExperimentConfig, seed: int
 ) -> CalibrationReport:
-    """The calibration report of all of a run's records, scored on `arrays`
-    (their columns), with the CI_METRICS intervals when ``config.resamples``
-    > 0. The intervals resample the records' subjects, whose record indices
-    `groups` give if the caller holds them (the ``LosoFold.rows`` of
-    ``loso_splits``)."""
+    """The calibration report of a run's final columns, with the CI_METRICS
+    intervals over their subjects when ``config.resamples`` > 0."""
     return calibration_report(
-        records,
-        arrays=arrays,
-        groups=groups,
+        arrays,
         bins=config.bins,
         ci_metrics=CI_METRICS if config.resamples > 0 else None,
         n_resamples=config.resamples,
@@ -390,8 +383,7 @@ def run_experiment_with_outcomes(
     and its CIs, pooled cost, guard counts and critical false positives
     come from those arrays, and every fold's accuracy, ECE, Brier, cost,
     triggers and critical false positives from the rows of its test
-    subject, the index array ``LosoFold.rows`` of ``loso_splits``. The CIs
-    resample subjects by those same rows.
+    subject, the index array ``LosoFold.rows`` of ``loso_splits``.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
@@ -405,7 +397,7 @@ def run_experiment_with_outcomes(
     folds = loso_splits(records)
     outcomes = evaluate_records(records, policy, config, seed)
     arrays = final_arrays(record_arrays(records), outcomes)
-    pooled = pooled_calibration(records, arrays, config, seed, [f.rows for f in folds])
+    pooled = pooled_calibration(arrays, config, seed)
 
     levels = np.fromiter((o.level for o in outcomes), dtype=np.int64, count=len(outcomes))
     triggered = np.fromiter((o.triggered for o in outcomes), dtype=bool, count=len(outcomes))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -76,6 +76,11 @@ def test_metrics_on_empty_record_arrays_raise_like_empty_records():
     for fn in (calibration.accuracy, ece, brier, reliability_bins, per_class_ranking):
         with pytest.raises(EmptyInput):
             fn(none)
+    for kwargs in ({}, {"resampling": calibration.SubjectResampling(none, seed=0)}):
+        with pytest.raises(EmptyInput):
+            bootstrap_ci(none, "ece", **kwargs)
+    with pytest.raises(EmptyInput):
+        calibration_report(none, ci_metrics=["ece"])
     with pytest.raises(ValueError):
         ece(a, 0)
 
@@ -449,7 +454,10 @@ def test_bootstrap_matches_reference_resampler_small(metric, class_id, reference
 def _assert_draws_score_as_concatenation(scores, labels, groups, draws) -> int:
     """Each draw's AUPR equals aupr_arrays on the concatenated resample, bit
     for bit, or both raise; returns how many draws were degenerate."""
-    evaluate = _aupr_by_draw(scores, labels, groups)
+    subject = np.empty(scores.size, dtype=np.int64)
+    for s, members in enumerate(groups):
+        subject[members] = s
+    evaluate = _aupr_by_draw(scores, labels, subject)
     degenerate = 0
     for draw in draws:
         idx = np.concatenate([groups[d] for d in draw])
@@ -494,7 +502,23 @@ def test_aupr_draw_single_subject():
     groups = [np.arange(30)]
     _assert_draws_score_as_concatenation(scores, labels, groups, [np.array([0])])
     with pytest.raises(DegenerateLabels):
-        _aupr_by_draw(scores, np.zeros(30, dtype=bool), groups)(np.array([0]))
+        _aupr_by_draw(scores, np.zeros(30, dtype=bool), np.zeros(30, dtype=np.int64))(np.array([0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text("bBa\u00e9\u03a91\U0001f600", min_size=1, max_size=2), max_size=40))
+@example(["b", "a", "\u00e9", "b", "B", "a"])
+def test_subject_groups_and_codes_equal_a_dict_oracle(ids):
+    # ids in first-appearance order, which sorting reorders
+    recs = [make_record(subject=s, clip=f"c{i}") for i, s in enumerate(ids)]
+    rows: dict[str, list[int]] = {}
+    for i, s in enumerate(ids):
+        rows.setdefault(s, []).append(i)
+    subjects, groups = calibration.subject_groups(recs)
+    assert subjects == sorted(rows)
+    assert [g.tolist() for g in groups] == [rows[s] for s in subjects]
+    if recs:
+        assert record_arrays(recs).subject.tolist() == [subjects.index(s) for s in ids]
 
 
 def test_aupr_draw_tie_group_positive_of_undrawn_subject():
@@ -554,11 +578,12 @@ def test_bootstrap_fails_before_any_draw_on_a_metric_no_draw_defines(
     monkeypatch, metric, class_id, missing
 ):
     recs = [make_record(predicted=1, true_class=1, clip=f"c{i}", subject=f"S{i%2}") for i in range(8)]
-    resampling = calibration.SubjectResampling(recs, seed=0)
+    a = record_arrays(recs)
+    resampling = calibration.SubjectResampling(a, seed=0)
     draws = []
     monkeypatch.setattr(resampling, "draw", lambda attempt: draws.append(attempt))
     with pytest.raises(MetricUndefinedOnResample) as info:
-        bootstrap_ci(recs, metric, class_id=class_id, n_resamples=10, seed=0, resampling=resampling)
+        bootstrap_ci(a, metric, class_id=class_id, n_resamples=10, seed=0, resampling=resampling)
     assert draws == []
     message = str(info.value)
     assert f"{metric} of class {class_id}" in message
@@ -607,19 +632,37 @@ def test_report_cis_equal_standalone_bootstrap_calls():
         assert report.ci[name] == (lo, hi, 0.9)
     again = calibration_report(recs, ci_metrics=names, n_resamples=40, level=0.9, seed=8)
     assert again == report
+    # the records' columns carry their subjects, so they give the same CIs
+    columns = calibration_report(
+        record_arrays(recs), ci_metrics=names, n_resamples=40, level=0.9, seed=8
+    )
+    for name in names:
+        assert [x.hex() for x in columns.ci[name][:2]] == [x.hex() for x in report.ci[name][:2]]
+
+
+def test_report_on_a_row_selection_resamples_only_its_subjects():
+    rng = np.random.default_rng(17)
+    recs = random_records(rng, 150, n_subjects=6)
+    a = record_arrays(recs)
+    rows = np.flatnonzero(a.subject != 0)  # every subject but the first
+    picked = RecordArrays(*(column[rows] for column in a))
+    names = ["ece", "brier", "accuracy", "aupr:6", "auroc:2"]
+    want = calibration_report([recs[i] for i in rows], ci_metrics=names, n_resamples=30, seed=2)
+    got = calibration_report(picked, ci_metrics=names, n_resamples=30, seed=2)
+    assert got.n == want.n == rows.size
+    for name in names:
+        assert [x.hex() for x in got.ci[name][:2]] == [x.hex() for x in want.ci[name][:2]]
 
 
 def test_report_cis_are_bit_identical_with_the_folds_subject_groups(monkeypatch):
     rng = np.random.default_rng(16)
     recs = random_records(rng, 150, n_subjects=6)
-    names = ["ece", "aupr:1", "aupr:6", "auroc:2", "brier"]
-    groups = [fold.rows for fold in loso_splits(recs)]
-    handed = calibration_report(recs, ci_metrics=names, n_resamples=40, seed=8, groups=groups)
-    grouped = calibration_report(recs, ci_metrics=names, n_resamples=40, seed=8)
-    for name in names:
-        assert [x.hex() for x in handed.ci[name][:2]] == [x.hex() for x in grouped.ci[name][:2]]
-    # an experiment groups its records once, in loso_splits, and hands the
-    # groups to its pooled report's CIs
+    # the CIs resample by the subject column, whose groups are the folds' rows
+    folds = [fold.rows.tolist() for fold in loso_splits(recs)]
+    resampling = calibration.SubjectResampling(record_arrays(recs), seed=8)
+    assert [rows.tolist() for rows in resampling.groups] == folds
+    # an experiment groups its records once, in loso_splits; its pooled
+    # report's CIs group the subject column of its final columns
     calls = []
     real = calibration.subject_groups
     monkeypatch.setattr(calibration, "subject_groups", lambda rs: calls.append(1) or real(rs))
@@ -630,11 +673,12 @@ def test_report_cis_are_bit_identical_with_the_folds_subject_groups(monkeypatch)
 def test_bootstrap_rejects_resampling_of_other_records_or_seed():
     rng = np.random.default_rng(15)
     recs = random_records(rng, 40, n_subjects=4)
-    resampling = calibration.SubjectResampling(recs, seed=3)
-    shared = bootstrap_ci(recs, "ece", n_resamples=16, seed=3, resampling=resampling)
+    a = record_arrays(recs)
+    resampling = calibration.SubjectResampling(a, seed=3)
+    shared = bootstrap_ci(a, "ece", n_resamples=16, seed=3, resampling=resampling)
     assert shared == bootstrap_ci(recs, "ece", n_resamples=16, seed=3)
     with pytest.raises(ValueError, match="other records or another seed"):
-        bootstrap_ci(recs, "ece", n_resamples=16, seed=4, resampling=resampling)
+        bootstrap_ci(a, "ece", n_resamples=16, seed=4, resampling=resampling)
     with pytest.raises(ValueError, match="other records or another seed"):
         bootstrap_ci(recs[:-1], "ece", n_resamples=16, seed=3, resampling=resampling)
 

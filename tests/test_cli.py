@@ -107,6 +107,8 @@ def test_out_of_range_threshold_exits_2(stream_log, tmp_path):
         ("calibrate", [], {"resamples": True}, "resamples"),
         ("calibrate", [], {"resamples": "1000"}, "resamples"),
         ("calibrate", ["--bins", "0"], None, "bins"),
+        ("calibrate", ["--bins", "1001"], None, "bins"),
+        ("calibrate", ["--resamples", "1000000000000000"], None, "resamples"),
         ("calibrate", [], {"bins": 10.0}, "bins"),
         ("calibrate", ["--ci-level", "1.0"], None, "ci_level"),
         ("calibrate", ["--ci-level", "nan"], None, "ci_level"),
@@ -270,6 +272,14 @@ def _whole_config(stream_log, tmp_path) -> dict:
         (("scenario", "model", "distributions", "drowsiness", "type"), "gamma", 2, None),
         (("scenario", "model", "distributions", "drowsiness", "mu"), 1.5, 3,
          "scenario.model.distributions.drowsiness: mu 1.5"),
+        (("scenario", "model", "distributions", "normal_driving", "mu"), 0.1, 3,
+         "scenario.model.distributions.normal_driving: mu 0.1"),
+        (("scenario", "sr_effect", "inflation_range"), [-3, -2], 3,
+         "scenario.sr_effect: inflation_range"),
+        (("scenario", "sr_effect", "clean_score_range"), [-0.5, 2.0], 3,
+         "scenario.sr_effect: clean_score_range"),
+        (("scenario", "sr_effect", "hallucinated_score_range"), [0.9, 0.55], 3,
+         "scenario.sr_effect: hallucinated_score_range"),
         (("guard_threshold",), float("inf"), 2, None),
         (("critical_fp_conf_cut",), "0.5", 2, None),
         (("critical_fp_conf_cut",), float("nan"), 2, None),

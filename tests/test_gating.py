@@ -214,6 +214,7 @@ def test_utilities_by_level_bit_identical_to_expected_utility(params, costs):
         true_class=pred,
         pred=pred,
         correct=np.ones(len(grid), dtype=bool),
+        subject=np.zeros(len(grid), dtype=np.int64),
     )
     util = utility_matrix(arrays, params, costs, "heuristic")
     for (class_id, c, p), row in zip(grid, util.tolist()):

@@ -177,6 +177,10 @@ def test_model_param_validation():
         TruncatedNormalSpec(0.5, 0.0)
     with pytest.raises(InvalidModelParams):
         TruncatedNormalSpec(1.5, 0.1)
+    # a mean far below the support would leave rejection sampling nothing to accept
+    with pytest.raises(InvalidModelParams, match=r"mu 0\.0 outside \[1/7,1\]"):
+        TruncatedNormalSpec(0.0, 0.01)
+    assert TruncatedNormalSpec(CONF_FLOOR, 10.0).mu == CONF_FLOOR
     with pytest.raises(InvalidModelParams):
         MixtureSpec(1.5, TruncatedNormalSpec(0.5, 0.1), TruncatedNormalSpec(0.6, 0.1))
     with pytest.raises(InvalidModelParams):
@@ -231,6 +235,11 @@ def test_experiment_config_accepts_guard_settings_at_the_ends_of_the_unit_interv
     names = ("guard_threshold", "guard_discount", "critical_fp_conf_cut")
     config = ExperimentConfig(**dict.fromkeys(names, value))
     assert [getattr(config, name) for name in names] == [value] * 3
+
+
+def test_experiment_config_accepts_the_largest_bins_and_resamples():
+    config = ExperimentConfig(bins=1000, resamples=100_000)
+    assert (config.bins, config.resamples) == (1000, 100_000)
 
 
 def test_sample_stream_rejects_more_subjects_than_records_per_class():
@@ -415,6 +424,7 @@ def test_final_columns_equal_the_frozen_rebuild(case):
     assert final.pred.tolist() == [ref.predicted_class(w) for w in want]
     assert final.criticality.tolist() == [w.criticality for w in want]
     assert final.correct.tolist() == [ref.predicted_class(w) == w.true_class for w in want]
+    assert final.subject.tolist() == record_arrays(recs).subject.tolist()
     triggered = [o.triggered for o in outcomes]
     assert any(triggered) and not all(triggered)
     if case != "synthetic":
