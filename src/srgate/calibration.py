@@ -382,11 +382,7 @@ def bootstrap_ci(
     AUPR resamples are scored as the presorted records weighted by the
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to
     ``aupr_arrays`` on the concatenated resample; every other metric scores
-    the concatenated resample itself. Since the records arrive in
-    descending score order, ``aupr_arrays`` skips its sort, and on distinct
-    scores its search for ties too. It then scores only the steps that hold
-    a positive: a step without one adds exactly +0.0, so the scattered
-    terms sum to the bits of the full curve's.
+    the concatenated resample itself.
 
     `resampling`, a ``SubjectResampling`` made from exactly these columns
     and `seed`, supplies their subject groups and draws, so the CIs of one
@@ -424,15 +420,12 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-def per_class_ranking(
-    records: Records, class_ids: Sequence[int] | None = None
-) -> tuple[dict[int, float | None], dict[int, float | None]]:
+def per_class_ranking(records: Records) -> tuple[dict[int, float | None], dict[int, float | None]]:
     """One-vs-rest AUROC and AUPR per class; None where undefined."""
     a = _arrays(records)
-    ids = list(class_ids) if class_ids is not None else list(range(a.probs.shape[1]))
     aurocs: dict[int, float | None] = {}
     auprs: dict[int, float | None] = {}
-    for k in ids:
+    for k in range(a.probs.shape[1]):
         scores = a.probs[:, k]
         labels = a.true_class == k
         try:

@@ -71,7 +71,7 @@ def _load_config_file(path: str | None) -> dict:
             raise ValueError(f"{path}: config file is not UTF-8 text") from None
         except schema.RepeatedKey as exc:
             raise ValueError(f"{path}: config key {exc.key!r} is given more than once") from None
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
@@ -428,19 +428,8 @@ def _guard_rows(recs, config):
             if r.ssim_vs_hr is not None and r.perceptual_loss is not None
             else None
         )
-        if level == records.SRLevel.NONE:
-            yield (r.clip_id, r.artifact_score, level.label, False, False, r.confidence, label)
-            continue
-        outcome = simulate.guard_outcome(r, level, r.artifact_score, config)
-        yield (
-            r.clip_id,
-            outcome.p_artifact,
-            level.label,
-            outcome.triggered,
-            outcome.used_sr,
-            outcome.final_confidence,
-            label,
-        )
+        o = simulate.guarded_outcome(r, level, None, r.confidence, r.artifact_score, config)
+        yield (r.clip_id, r.artifact_score, level.label, o.triggered, o.used_sr, o.confidence, label)
 
 
 def _cmd_guard(args) -> int:
@@ -480,16 +469,27 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _csv_rows(fh):
+    """(line, values) of each CSV row of `fh`, `line` being the one the row
+    starts on, since a quoted field may span lines. A row csv cannot read (a
+    field past its size limit) raises MalformedRecord naming its line."""
+    reader = csv.reader(records.utf8_lines(fh))
+    end = 0
+    try:
+        for values in reader:
+            yield end + 1, values
+            end = reader.line_num
+    except csv.Error as exc:
+        raise err.MalformedRecord(end + 1, f"bad CSV row: {exc}") from None
+
+
 def _read_points(path: str) -> list[costmod.MethodPoint]:
     points = []
     names = set()
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(records.utf8_lines(fh))
-        header = next(reader, [])
-        # a quoted field may span lines: a row is named by its first line
-        end = reader.line_num
-        for values in reader:
-            line_no, end = end + 1, reader.line_num
+        rows = _csv_rows(fh)
+        _, header = next(rows, (1, []))
+        for line_no, values in rows:
             if not values:
                 continue
             # as csv.DictReader reads it: a short row's last keys are None

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .costs import CostProfile
-from .errors import EmptyInput
 from .records import (
     GateDecision,
     GateReason,
@@ -197,8 +196,6 @@ def optimize_thresholds(
     is exact at grid resolution. Ties break toward larger tau_high, then
     larger tau_low.
     """
-    if not records:
-        raise EmptyInput("no records")
     if not 0.0 < grid_step <= 0.25:
         raise ValueError("grid_step must lie in (0, 0.25]")
     grid = np.array(threshold_grid(grid_step))
@@ -261,8 +258,6 @@ def sensitivity_sweep(
     (clamped back into [0,1]); one row per (scale_low, scale_high) grid
     point. rel_range=0 degenerates to the single unperturbed row.
     """
-    if not records:
-        raise EmptyInput("no records")
     check_sweep_settings(rel_range, steps, objective)
     if rel_range == 0.0:
         scales = np.array([1.0])

@@ -170,6 +170,15 @@ def validate_record(r: PredictionRecord) -> list[Violation]:
     return out
 
 
+def violation_error(line_no: int, violations: Sequence[Violation]) -> MalformedRecord:
+    """The error naming the bad record on `line_no`, every violation joined by
+    "; ": ProbSumViolation when the first is the probability sum."""
+    first = violations[0]
+    bad_sum = first.field == "probs" and "sum" in first.rule
+    error = ProbSumViolation if bad_sum else MalformedRecord
+    return error(line_no, "; ".join(map(str, violations)))
+
+
 # The JSON rule of each field type, as the schema codec's scalar rules have
 # it: ids are strings, and a real field is a JSON number, never a bool or a
 # string. The record's own fields, in order, give the log schema.
@@ -247,10 +256,7 @@ def _record_from_obj(
         raise MalformedRecord(line_no, f"bad field value: {exc}") from exc
     violations = validate_record(rec)
     if violations:
-        first = violations[0]
-        bad_sum = first.field == "probs" and "sum" in first.rule
-        error = ProbSumViolation if bad_sum else MalformedRecord
-        raise error(line_no, "; ".join(str(v) for v in violations))
+        raise violation_error(line_no, violations)
     return rec, unknown
 
 
@@ -280,7 +286,8 @@ def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
     Returns records in file order. Raises MalformedRecord/ProbSumViolation
     with the 1-based line number on the first bad line, EmptyLog if no
     records remain. A line is bad too if it is not UTF-8, not one JSON
-    object, repeats a key, or escapes a lone surrogate in an id. The
+    object, repeats a key, escapes a lone surrogate in an id, or nests or
+    spells a number past the interpreter's recursion or digit limit. The
     message names every violation of a record, joined with "; ". Unknown
     keys fail under `strict`; otherwise one warning names them once the
     whole log is read.
@@ -300,13 +307,17 @@ def ingest_log(path: str, strict: bool = False) -> list[PredictionRecord]:
                 continue
             try:
                 obj = _decode_line(line)
+                if not isinstance(obj, dict):
+                    raise MalformedRecord(line_no, "record is not an object")
+                rec, extra = _record_from_obj(obj, line_no, strict, subjects)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, f"invalid JSON: {exc.msg}") from exc
             except schema.RepeatedKey as exc:
                 raise MalformedRecord(line_no, f"repeated key {exc.key!r}") from None
-            if not isinstance(obj, dict):
-                raise MalformedRecord(line_no, "record is not an object")
-            rec, extra = _record_from_obj(obj, line_no, strict, subjects)
+            except (RecursionError, ValueError) as exc:
+                # past the recursion limit (decoding, or quoting a value for a
+                # message), or an integer past the digit limit
+                raise MalformedRecord(line_no, f"cannot decode JSON: {exc}") from None
             if extra:
                 unknown |= extra
                 unknown_lines += 1

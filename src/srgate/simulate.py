@@ -32,12 +32,11 @@ from .costs import CostSummary, accumulate_cost
 from .errors import (
     EmptyInput,
     IoFailure,
-    MalformedRecord,
     SchemaMismatch,
     TooFewSubjects,
 )
 from .gating import gate, gate_adaptive
-from .guard import GuardOutcome, apply_guard
+from .guard import apply_guard
 from .records import (
     CLASSES,
     CRITICAL_IDS,
@@ -47,6 +46,7 @@ from .records import (
     SRLevel,
     record_arrays,
     validate_record,
+    violation_error,
 )
 
 SCHEMA_VERSION = 1
@@ -181,68 +181,64 @@ _POLICY_LEVELS = {
 }
 
 
-def guard_outcome(
-    r: PredictionRecord, level: SRLevel, p_artifact: float | None, config: ExperimentConfig
-) -> GuardOutcome:
-    """The run's guard on one record enhanced at `level`, given its artifact
-    probability: revert-and-discount when the guard is on and the score is
-    over the threshold. With the guard off or no score, the SR output stands.
+def guarded_outcome(
+    r: PredictionRecord,
+    level: SRLevel,
+    pred: int | None,
+    confidence: float,
+    p_artifact: float | None,
+    config: ExperimentConfig,
+) -> EvalOutcome:
+    """What `r` ends as, gated to `level` and enhanced into `pred` (None: its
+    own vector) at `confidence`, given its artifact probability.
 
-    On revert the pipeline classifies the LR input again, so the discount
-    applies to the record's original confidence, not the enhanced one.
+    A level-NONE record keeps its own vector and confidence, and has no
+    score. An enhanced record is reverted when the guard is on and its score
+    is over the threshold: the LR input is classified again, so it takes its
+    own prediction and its own confidence after the discount. Otherwise the
+    SR output stands.
     """
-    if not config.guard_enabled or p_artifact is None:
-        return GuardOutcome(
-            used_sr=True, final_confidence=r.confidence, p_artifact=p_artifact, triggered=False
+    if level == SRLevel.NONE:
+        return EvalOutcome(None, r.confidence, level, False, False, None)
+    triggered = False
+    if config.guard_enabled and p_artifact is not None:
+        guarded = apply_guard(
+            p_artifact, level, r.confidence, threshold=config.guard_threshold,
+            discount=config.guard_discount, relative_discount=config.guard_relative,
         )
-    return apply_guard(
-        p_artifact,
-        level,
-        r.confidence,
-        threshold=config.guard_threshold,
-        discount=config.guard_discount,
-        relative_discount=config.guard_relative,
-    )
+        triggered = guarded.triggered
+        if triggered:
+            pred, confidence = r.predicted_class, guarded.final_confidence
+    return EvalOutcome(pred, confidence, level, not triggered, triggered, p_artifact)
 
 
 def _evaluate_record(
     r: PredictionRecord, index: int, level: SRLevel, config: ExperimentConfig, seed: int
 ) -> EvalOutcome:
-    if level == SRLevel.NONE:
-        return EvalOutcome(None, r.confidence, level, False, False, None)
-
     effect = config.scenario.sr_effect
-    if not effect.hallucination_enabled and not effect.uplift_enabled:
-        # log-driven mode: score the record as it stands, guarding on any
-        # artifact probability the upstream detector recorded
-        pred, conf = None, r.confidence
-        p_artifact = r.artifact_score
-    else:
-        rng = np.random.default_rng([seed, index])
-        hallucinated = rng.random() < effect.hallucination_rate(level)
-        if hallucinated:
-            target = int(
-                effect.hallucination_targets[rng.integers(0, len(effect.hallucination_targets))]
-            )
-            conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
-            pred = target
-            p_artifact = float(rng.uniform(*effect.hallucinated_score_range))
-        else:
-            p_artifact = float(rng.uniform(*effect.clean_score_range))
-            pred = r.predicted_class
-            conf = r.confidence
-            if effect.uplift_enabled and not r.correct:
-                q = config.scenario.model.p_correct(r.confidence)
-                u = effect.uplift(level, r.true_class)
-                flip_p = q * (u - 1.0) / (1.0 - q + u * q)
-                if rng.random() < flip_p:
-                    pred = r.true_class
+    if level == SRLevel.NONE or not (effect.hallucination_enabled or effect.uplift_enabled):
+        # no SR, or log-driven mode: score the record as it stands, guarding
+        # on any artifact probability the upstream detector recorded
+        return guarded_outcome(r, level, None, r.confidence, r.artifact_score, config)
 
-    outcome = guard_outcome(r, level, p_artifact, config)
-    if outcome.triggered:
-        # the LR input is classified again: its own prediction, discounted
-        pred, conf = r.predicted_class, outcome.final_confidence
-    return EvalOutcome(pred, conf, level, outcome.used_sr, outcome.triggered, p_artifact)
+    rng = np.random.default_rng([seed, index])
+    hallucinated = rng.random() < effect.hallucination_rate(level)
+    if hallucinated:
+        targets = effect.hallucination_targets
+        pred = int(targets[rng.integers(0, len(targets))])
+        conf = min(1.0, r.confidence + float(rng.uniform(*effect.inflation_range)))
+        p_artifact = float(rng.uniform(*effect.hallucinated_score_range))
+    else:
+        p_artifact = float(rng.uniform(*effect.clean_score_range))
+        pred = r.predicted_class
+        conf = r.confidence
+        if effect.uplift_enabled and not r.correct:
+            q = config.scenario.model.p_correct(r.confidence)
+            u = effect.uplift(level, r.true_class)
+            flip_p = q * (u - 1.0) / (1.0 - q + u * q)
+            if rng.random() < flip_p:
+                pred = r.true_class
+    return guarded_outcome(r, level, pred, conf, p_artifact, config)
 
 
 def evaluate_records(
@@ -392,7 +388,7 @@ def run_experiment_with_outcomes(
     for i, r in enumerate(records):
         violations = validate_record(r)
         if violations:
-            raise MalformedRecord(i + 1, "; ".join(str(v) for v in violations))
+            raise violation_error(i + 1, violations)
 
     folds = loso_splits(records)
     outcomes = evaluate_records(records, policy, config, seed)
@@ -476,7 +472,8 @@ def read_report(path: str) -> ExperimentReport:
             data = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read report from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # not JSON or not UTF-8, or past the recursion or the digit limit
         raise SchemaMismatch(f"{path} is not a JSON report: {exc}") from exc
     return report_from_dict(data)
 

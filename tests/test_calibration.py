@@ -67,7 +67,6 @@ def test_metrics_on_record_arrays_equal_metrics_on_records():
         assert brier(arrays).hex() == brier(records).hex()
         assert reliability_bins(arrays, 4) == reliability_bins(records, 4)
         assert per_class_ranking(arrays) == per_class_ranking(records)
-        assert per_class_ranking(arrays, [2, 6]) == per_class_ranking(records, [2, 6])
 
 
 def test_metrics_on_empty_record_arrays_raise_like_empty_records():

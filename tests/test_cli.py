@@ -1223,6 +1223,64 @@ def test_pareto_names_the_first_file_line_of_a_bad_row(tmp_path, capsys, rows, m
     assert not out.exists()
 
 
+# Input the decoder cannot finish, within the interpreter's own limits, which
+# stay as they are: nesting past the recursion limit, an integer of more than
+# 4300 digits, a CSV field of more than 131,072 characters.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_log_line_nested_past_the_recursion_limit_exits_3_naming_the_line(tmp_path, capsys):
+    good = json.dumps(record_to_obj(make_record()))
+    log = tmp_path / "deep.log"
+    log.write_text(good + "\n" + good[:-1] + f', "extra": {DEEP}}}\n')
+    out = tmp_path / "o"
+    assert run_cli(["gate", "--log", str(log), "--out", str(out)]) == 3
+    assert "srgate: data error: line 2: cannot decode JSON: maximum recursion depth" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_log_integer_past_the_digit_limit_exits_3_naming_the_line(tmp_path, capsys):
+    good = json.dumps(record_to_obj(make_record(blur=0.25)))
+    log = tmp_path / "digits.log"
+    log.write_text(good + "\n" + good.replace('"blur": 0.25', '"blur": ' + "1" * 5000) + "\n")
+    out = tmp_path / "o"
+    assert run_cli(["gate", "--log", str(log), "--out", str(out)]) == 3
+    assert "srgate: data error: line 2: cannot decode JSON: Exceeds the limit (4300 digits)" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_config_file_nested_past_the_recursion_limit_exits_2_naming_the_file(
+    stream_log, tmp_path, capsys
+):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(DEEP)
+    out = tmp_path / "o"
+    argv = ["calibrate", "--log", stream_log, "--config", str(cfg), "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert f"srgate: invalid option value: {cfg}: maximum recursion depth" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_pareto_field_past_the_csv_size_limit_exits_3_naming_the_row(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text(
+        "name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\n\n"
+        + "x" * 200_000 + ",0.359,143.0,4.2,26.4\n"
+    )
+    out = tmp_path / "pareto"
+    assert run_cli(["pareto", "--points", str(points), "--out", str(out)]) == 3
+    assert "srgate: data error: line 4: bad CSV row: field larger than field limit" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_pareto_short_row_reads_missing_values_as_none(tmp_path, capsys):
     points = tmp_path / "methods.csv"
     points.write_text("name,accuracy,cost,fps,power\nbicubic,0.287,1.2\n")

@@ -22,6 +22,7 @@ from srgate.config import (
 from srgate.errors import (
     InvalidModelParams,
     MalformedRecord,
+    ProbSumViolation,
     SchemaMismatch,
     TooFewSubjects,
 )
@@ -31,8 +32,10 @@ from srgate.records import (
     NUM_CLASSES,
     PredictionRecord,
     SRLevel,
+    ingest_log,
     record_arrays,
     validate_record,
+    write_log,
 )
 from srgate.simulate import (
     evaluate_records,
@@ -214,13 +217,24 @@ def test_gate_policy_cost_between_extremes():
     assert 2.3 < report.cost.mean_gflops < 18.7
 
 
-def test_run_experiment_rejects_bad_policy_and_records():
+def test_run_experiment_rejects_bad_policy_and_records(tmp_path):
     recs = small_stream(n_per_class=4, subjects=4)
     with pytest.raises(ValueError):
         run_experiment(recs, "sometimes_4x", FAST, seed=1)
     broken = [replace(recs[0], confidence=0.1)] + recs[1:]
     with pytest.raises(MalformedRecord):
         run_experiment(broken, "gate", FAST, seed=1)
+    # a bad sum is named as ingest names it
+    r = recs[0]
+    bad_sum = [replace(r, probs=tuple(p * 0.9 for p in r.probs), confidence=r.confidence * 0.9)]
+    path = tmp_path / "bad_sum.log"
+    write_log(bad_sum + recs[1:], str(path))
+    with pytest.raises(ProbSumViolation) as ingested:
+        ingest_log(str(path))
+    with pytest.raises(ProbSumViolation) as run:
+        run_experiment(bad_sum + recs[1:], "gate", FAST, seed=1)
+    assert str(run.value) == str(ingested.value)
+    assert str(run.value).startswith("line 1: probs: sum ")
 
 
 @pytest.mark.parametrize("name", ["guard_threshold", "guard_discount", "critical_fp_conf_cut"])
@@ -467,6 +481,18 @@ def test_report_schema_mismatch(tmp_path):
         read_report(str(path))
     with pytest.raises(SchemaMismatch):
         report_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"n": ' + "1" * 5000 + "}", b"\xff{}"],
+    ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit", "not-utf8"],
+)
+def test_report_file_that_json_cannot_decode_is_a_schema_mismatch(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(SchemaMismatch, match="is not a JSON report"):
+        read_report(str(path))
 
 
 def test_report_with_24_subjects_serializes_24_folds(tmp_path):
