@@ -336,15 +336,15 @@ def _cmd_quality(args) -> int:
 def _decision_rows(recs, config, adaptive: bool):
     """One decisions.csv row per record, yielded as it is decided. The
     adaptive gate's rows carry the expected-utility audit of each level,
-    the heuristic rows of `gating.utility_matrix`, converted one row at a
-    time; the fixed gate's rows carry zeros there."""
+    the heuristic rows of `gating.utility_matrix`; the fixed gate's rows
+    carry zeros there."""
     t = config.thresholds
     if adaptive:
-        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
+        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic").tolist()
     for i, r in enumerate(recs):
         if adaptive:
             d = gating.gate_adaptive(r, t, config.adaptive)
-            utilities = audit[i].tolist()
+            utilities = audit[i]
         else:
             d = gating.gate(r.confidence, r.criticality, t)
             utilities = (0.0, 0.0, 0.0)

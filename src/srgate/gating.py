@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,8 +161,7 @@ def utility_matrix(
     return (gain_table[a.pred] * factor[:, None]) * w[:, None] - params.lam * cost_norm[None, :]
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     tau_low: float
     tau_high: float
     mean_utility: float
@@ -274,19 +273,7 @@ def sensitivity_sweep(
     )
     n = len(records)
     gflops = np.array(costs.per_level("gflops"))
-    rows = []
-    for j, (sl, sh) in enumerate(zip(scale_lo, scale_hi)):
-        mean_cost = float(hist[j].astype(np.float64) @ gflops) / n
-        rows.append(
-            SweepRow(
-                scale_low=float(sl),
-                scale_high=float(sh),
-                mean_utility=float(means[j]),
-                mean_cost_gflops=mean_cost,
-                n_none=int(hist[j, 0]),
-                n_2x=int(hist[j, 1]),
-                n_4x=int(hist[j, 2]),
-            )
-        )
-    return rows
-
+    # one dot per row: a single hist @ gflops may differ in the last bit
+    mean_cost = [float(h @ gflops) / n for h in hist.astype(np.float64)]
+    columns = (scale_lo.tolist(), scale_hi.tolist(), means.tolist(), mean_cost, *hist.T.tolist())
+    return list(map(SweepRow, *columns))

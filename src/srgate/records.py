@@ -15,6 +15,8 @@ import logging
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -415,17 +417,27 @@ def subject_codes(records: Sequence[PredictionRecord]) -> tuple[list[str], np.nd
 
 
 def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
-    """Turn records into arrays; the one conversion every array metric uses."""
+    """Turn records into arrays; the one conversion every array metric uses.
+
+    Raises EmptyInput for no records, MissingProbs for a record without a
+    probability vector, and ValueError when the vectors differ in length.
+    """
     if not records:
         raise EmptyInput("no records")
-    if any(not r.probs for r in records):
+    n = len(records)
+    vectors = list(map(attrgetter("probs"), records))
+    if not all(vectors):
         raise MissingProbs("record without probability vector")
-    probs = np.array([r.probs for r in records], dtype=np.float64)
-    true_class = np.array([r.true_class for r in records], dtype=np.int64)
+    lengths = set(map(len, vectors))
+    if len(lengths) > 1:
+        raise ValueError(f"probability vectors differ in length: {sorted(lengths)}")
+    k = len(vectors[0])
+    probs = np.fromiter(chain.from_iterable(vectors), np.float64, n * k).reshape(n, k)
+    true_class = np.fromiter(map(attrgetter("true_class"), records), np.int64, n)
     pred = probs.argmax(axis=1).astype(np.int64, copy=False)
     return RecordArrays(
-        confidence=np.array([r.confidence for r in records], dtype=np.float64),
-        criticality=np.array([r.criticality for r in records], dtype=np.uint8),
+        confidence=np.fromiter(map(attrgetter("confidence"), records), np.float64, n),
+        criticality=np.fromiter(map(attrgetter("criticality"), records), np.uint8, n),
         probs=probs,
         true_class=true_class,
         pred=pred,

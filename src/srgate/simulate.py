@@ -125,8 +125,8 @@ def sample_stream(
                     probs=_build_probs(pred, p),
                     confidence=p,
                     criticality=int(CLASSES[pred].critical),
-                    blur=float(rng.uniform()),
-                    lighting=float(rng.uniform()),
+                    blur=rng.random(),
+                    lighting=rng.random(),
                 )
             )
     return records
@@ -278,8 +278,10 @@ def final_arrays(arrays: RecordArrays, outcomes: Sequence[EvalOutcome]) -> Recor
     Every other row keeps its own vector.
     """
     confidence = np.array([o.confidence for o in outcomes], dtype=np.float64)
-    replaced = [(i, o.pred) for i, o in enumerate(outcomes) if o.pred is not None]
-    rows, new_pred = np.array(replaced, dtype=np.int64).reshape(-1, 2).T
+    # -1 marks an outcome that keeps its record's vector
+    outcome_pred = np.fromiter((-1 if o.pred is None else o.pred for o in outcomes), np.int64)
+    rows = np.flatnonzero(outcome_pred >= 0)
+    new_pred = outcome_pred[rows]
     mass = np.maximum(confidence[rows], CONF_FLOOR + 1e-9)
     probs = arrays.probs.copy()
     probs[rows] = ((1.0 - mass) / (NUM_CLASSES - 1))[:, None]

@@ -250,6 +250,20 @@ def test_record_arrays_match_record_properties():
         record_arrays([replace(recs[0], probs=())])
 
 
+def test_record_arrays_reject_ragged_probability_vectors():
+    # 7 + 6 + 8 entries: the total equals n * K, so only a per-record
+    # length check tells these rows from three of length 7
+    base = make_record()
+    recs = [
+        replace(base, probs=base.probs),
+        replace(base, probs=base.probs[:6]),
+        replace(base, probs=(*base.probs, 0.0)),
+    ]
+    assert sum(len(r.probs) for r in recs) == len(recs) * NUM_CLASSES
+    with pytest.raises(ValueError):
+        record_arrays(recs)
+
+
 def test_utility_params_defaults_and_table():
     u = UtilityParams()
     assert u.lam == 0.3
