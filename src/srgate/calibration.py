@@ -2,9 +2,10 @@
 and subject-level bootstrap confidence intervals.
 
 Record-level operations wrap array-level implementations so the bootstrap
-can resample cheaply; both routes share the same arithmetic. They also
-take the records' ``RecordArrays``, or any row selection of it, so a
-caller that holds the arrays does not convert the records again.
+can resample cheaply; both routes share the same arithmetic. Each takes
+records or their ``RecordArrays`` (any row selection), resolved by
+``records.as_columns``, so a caller holding the columns converts nothing.
+Emptiness is checked first, then the bin count, once, in ``bin_indices``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import PredictionRecord, RecordArrays, record_arrays, subject_codes
-
-Records = Sequence[PredictionRecord] | RecordArrays
+from .records import PredictionRecord, RecordArrays, Records, as_columns, subject_codes
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,8 @@ class CalibrationReport:
 
 def bin_indices(conf: np.ndarray, m: int) -> np.ndarray:
     """0-based bin index per confidence; lower-closed first bin."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     idx = np.ceil(conf * m).astype(np.int64)
     np.clip(idx, 1, m, out=idx)
     return idx - 1
@@ -191,21 +192,8 @@ def aupr_arrays(
 
 # --- record-level operations ----------------------------------------------------
 
-def _arrays(records: Records, m: int | None = None) -> RecordArrays:
-    """The arrays of `records`, converted only if they are records.
-
-    Checks emptiness first, then the bin count `m` if one is given.
-    """
-    given = isinstance(records, RecordArrays)
-    if (records.confidence.size if given else len(records)) == 0:
-        raise EmptyInput("no records")
-    if m is not None and m < 1:
-        raise ValueError("m must be >= 1")
-    return records if given else record_arrays(records)
-
-
 def reliability_bins(records: Records, m: int = 10) -> list[ReliabilityBin]:
-    a = _arrays(records, m)
+    a = as_columns(records)
     counts, conf_sums, acc_sums = _bin_stats(a.confidence, a.correct, m)
     bins = []
     for i in range(m):
@@ -224,18 +212,18 @@ def reliability_bins(records: Records, m: int = 10) -> list[ReliabilityBin]:
 
 def ece(records: Records, m: int = 10) -> float:
     """Bin-weighted mean absolute gap between confidence and accuracy."""
-    a = _arrays(records, m)
+    a = as_columns(records)
     return ece_arrays(a.confidence, a.correct, m)
 
 
 def brier(records: Records) -> float:
     """Mean squared distance between probability vectors and one-hot labels."""
-    a = _arrays(records)
+    a = as_columns(records)
     return brier_arrays(a.probs, a.true_class)
 
 
 def accuracy(records: Records) -> float:
-    return float(np.mean(_arrays(records).correct))
+    return float(np.mean(as_columns(records).correct))
 
 
 def auroc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -389,7 +377,7 @@ def bootstrap_ci(
     report share them instead of each grouping the records and building the
     same generators; the interval is the same either way.
     """
-    a = _arrays(records)
+    a = as_columns(records)
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0,1)")
     if n_resamples < 1:
@@ -422,7 +410,7 @@ def bootstrap_ci(
 
 def per_class_ranking(records: Records) -> tuple[dict[int, float | None], dict[int, float | None]]:
     """One-vs-rest AUROC and AUPR per class; None where undefined."""
-    a = _arrays(records)
+    a = as_columns(records)
     aurocs: dict[int, float | None] = {}
     auprs: dict[int, float | None] = {}
     for k in range(a.probs.shape[1]):
@@ -457,7 +445,7 @@ def calibration_report(
     and the CIs score the same columns, converted once if need be, and the
     CIs share one subject grouping and set of draws (``SubjectResampling``).
     """
-    a = _arrays(records, bins)
+    a = as_columns(records)
     bin_list = reliability_bins(a, bins)
     aurocs, auprs = per_class_ranking(a)
     ci = None

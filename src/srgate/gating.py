@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .records import (
     GateDecision,
     GateReason,
     PredictionRecord,
-    RecordArrays,
+    Records,
     SRLevel,
     UtilityParams,
-    record_arrays,
+    as_columns,
 )
 
 
@@ -132,15 +132,13 @@ def gate_adaptive(r: PredictionRecord, t: Thresholds, cfg: AdaptiveTauConfig) ->
 OBJECTIVES = ("outcome", "heuristic")
 
 def utility_matrix(
-    records: Sequence[PredictionRecord] | RecordArrays,
+    records: Records,
     params: UtilityParams,
     costs: CostProfile,
     objective: str = "outcome",
 ) -> np.ndarray:
     """(n, 3) matrix of realized per-record utility at each level.
 
-    records may also be given as their ``record_arrays``, so a caller that
-    already holds the arrays does not convert the records twice.
     objective='outcome' scores the accuracy-gain term by the record's
     realized error (labels are known here); 'heuristic' falls back to the
     1-p expectation for label-free logs, and its rows are the audit that
@@ -153,7 +151,7 @@ def utility_matrix(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    a = records if isinstance(records, RecordArrays) else record_arrays(records)
+    a = as_columns(records)
     factor = (1.0 - a.correct.astype(np.float64)) if objective == "outcome" else 1.0 - a.confidence
     w = np.where(a.criticality == 1, params.w_crit, params.w_normal)
     gain_table = np.array(params.gain_table, dtype=np.float64)
@@ -182,7 +180,7 @@ def threshold_grid(grid_step: float) -> list[float]:
 
 
 def optimize_thresholds(
-    records: Sequence[PredictionRecord],
+    records: Records,
     params: UtilityParams,
     costs: CostProfile,
     grid_step: float = 0.05,
@@ -201,7 +199,7 @@ def optimize_thresholds(
     # every pair lo < hi, in the order of a loop over lo, then hi
     lo_idx, hi_idx = np.triu_indices(grid.size, k=1)
     lo_arr, hi_arr = grid[lo_idx], grid[hi_idx]
-    a = record_arrays(records)
+    a = as_columns(records)
     util = utility_matrix(a, params, costs, objective)
     means, _ = kernels.utility_surface(
         a.confidence, a.criticality, util, lo_arr, hi_arr, critical_cut
@@ -243,7 +241,7 @@ class SweepRow:
 
 
 def sensitivity_sweep(
-    records: Sequence[PredictionRecord],
+    records: Records,
     t: Thresholds,
     params: UtilityParams,
     costs: CostProfile,
@@ -266,12 +264,12 @@ def sensitivity_sweep(
     scale_lo, scale_hi = (g.ravel() for g in np.meshgrid(scales, scales, indexing="ij"))
     lo_arr = np.clip(scale_lo * t.tau_low, 0.0, 1.0)
     hi_arr = np.clip(scale_hi * t.tau_high, 0.0, 1.0)
-    a = record_arrays(records)
+    a = as_columns(records)
     util = utility_matrix(a, params, costs, objective)
     means, hist = kernels.utility_surface(
         a.confidence, a.criticality, util, lo_arr, hi_arr, t.critical_cut
     )
-    n = len(records)
+    n = a.confidence.size
     gflops = np.array(costs.per_level("gflops"))
     # one dot per row: a single hist @ gflops may differ in the last bit
     mean_cost = [float(h @ gflops) / n for h in hist.astype(np.float64)]

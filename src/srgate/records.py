@@ -446,6 +446,20 @@ def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
     )
 
 
+# what every array consumer takes: records, or their columns (any row selection)
+Records = Sequence[PredictionRecord] | RecordArrays
+
+
+def as_columns(records: Records) -> RecordArrays:
+    """The columns of `records`, converted by ``record_arrays`` unless they
+    are columns already; EmptyInput for zero rows in either form."""
+    if not isinstance(records, RecordArrays):
+        return record_arrays(records)
+    if records.confidence.size == 0:
+        raise EmptyInput("no records")
+    return records
+
+
 @dataclass(frozen=True)
 class GateDecision:
     """Chosen SR level, the high threshold it was decided against, and the

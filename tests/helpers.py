@@ -6,11 +6,14 @@ independent of the library's vectorized implementations.
 
 from __future__ import annotations
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 
-from srgate import calibration, gating, records, simulate
+import srgate
+from srgate import records
 from srgate.records import NUM_CLASSES, PredictionRecord
 
 
@@ -190,7 +193,10 @@ def pareto_oracle(points):
 def count_conversions(monkeypatch) -> list[int]:
     """Count ``record_arrays`` calls through every module that calls it.
 
-    Returns the list that each call appends its record count to.
+    Every ``srgate`` module whose own names bind ``record_arrays`` is
+    patched, so a module that stops importing it needs no edit here, and one
+    that starts is counted too. Returns the list that each call appends its
+    record count to.
     """
     calls: list[int] = []
     convert = records.record_arrays
@@ -199,6 +205,8 @@ def count_conversions(monkeypatch) -> list[int]:
         calls.append(len(recs))
         return convert(recs)
 
-    for module in (records, calibration, gating, simulate):
-        monkeypatch.setattr(module, "record_arrays", counting)
+    for info in pkgutil.iter_modules(srgate.__path__):
+        module = importlib.import_module(f"srgate.{info.name}")
+        if vars(module).get("record_arrays") is convert:
+            monkeypatch.setattr(module, "record_arrays", counting)
     return calls

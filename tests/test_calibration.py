@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -27,14 +29,15 @@ from srgate.calibration import (
     per_class_ranking,
     reliability_bins,
 )
-from srgate import calibration
+from srgate import calibration, gating
 from srgate.errors import (
     DegenerateLabels,
     EmptyInput,
     MetricUndefinedOnResample,
 )
 from srgate.config import ExperimentConfig
-from srgate.records import PredictionRecord, RecordArrays, record_arrays
+from srgate.costs import CostProfile
+from srgate.records import PredictionRecord, RecordArrays, UtilityParams, record_arrays
 from srgate.simulate import loso_splits, run_experiment
 
 
@@ -55,6 +58,27 @@ def _scored_records(confidences, corrects):
 
 # --- records or their arrays ------------------------------------------------------
 
+_U, _C, _T = UtilityParams(), CostProfile(), gating.Thresholds()
+
+
+def _hexes(values) -> list[str]:
+    """Each value as the ``float.hex`` of its float, for a bit-exact match."""
+    return [float(v).hex() for v in values]
+
+
+def _gating_results(records) -> list[list[str]]:
+    """The utility matrix, threshold search and sweep of `records` under both
+    objectives, every number as hex."""
+    out = []
+    for objective in gating.OBJECTIVES:
+        util = gating.utility_matrix(records, _U, _C, objective)
+        found = gating.optimize_thresholds(records, _U, _C, 0.05, objective=objective)
+        rows = gating.sensitivity_sweep(records, _T, _U, _C, 0.25, 3, objective)
+        out += [_hexes(util.ravel()), _hexes(astuple(found)[:3]), _hexes(chain(*found.surface))]
+        out += [_hexes(astuple(row)) for row in rows]
+    return out
+
+
 def test_metrics_on_record_arrays_equal_metrics_on_records():
     recs = random_records(np.random.default_rng(41), 97)
     a = record_arrays(recs)
@@ -67,6 +91,7 @@ def test_metrics_on_record_arrays_equal_metrics_on_records():
         assert brier(arrays).hex() == brier(records).hex()
         assert reliability_bins(arrays, 4) == reliability_bins(records, 4)
         assert per_class_ranking(arrays) == per_class_ranking(records)
+        assert _gating_results(arrays) == _gating_results(records)
 
 
 def test_metrics_on_empty_record_arrays_raise_like_empty_records():
@@ -82,6 +107,26 @@ def test_metrics_on_empty_record_arrays_raise_like_empty_records():
         calibration_report(none, ci_metrics=["ece"])
     with pytest.raises(ValueError):
         ece(a, 0)
+    for objective in gating.OBJECTIVES:
+        with pytest.raises(EmptyInput):
+            gating.utility_matrix(none, _U, _C, objective)
+        with pytest.raises(EmptyInput):
+            gating.optimize_thresholds(none, _U, _C, objective=objective)
+        with pytest.raises(EmptyInput):
+            gating.sensitivity_sweep(none, _T, _U, _C, objective=objective)
+    # emptiness is checked before the bin count, and the bin count in one place
+    with pytest.raises(EmptyInput):
+        ece(none, 0)
+    with pytest.raises(EmptyInput):
+        calibration.ece_arrays(none.confidence, none.correct, 0)
+    for bad_bins in (
+        lambda: calibration.ece_arrays(a.confidence, a.correct, 0),
+        lambda: bootstrap_ci(a, "ece", n_resamples=3, bins=0),
+        lambda: reliability_bins(a, 0),
+        lambda: calibration_report(a, bins=0, ci_metrics=["ece"]),
+    ):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            bad_bins()
 
 
 # --- reliability bins ------------------------------------------------------------

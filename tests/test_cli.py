@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import tempfile
 import weakref
@@ -609,6 +611,55 @@ def test_corrupted_whole_config_exits_cleanly_or_round_trips(fuzz_run, data):
             again = ["loso-eval", "--log", log, "--config", str(echo), "--out", str(work / "two")]
             assert run_cli(again) == 0
             assert _outputs(work / "two") == _outputs(work / "one")
+
+
+# a wrong type, NaN, a negative or huge number (one past the float range), a
+# nested array, or the key deleted or an extra key beside it
+_LOG_CORRUPTIONS = ["x", True, None, float("nan"), -1.0, 1e308, 10**400, [0.5], [[0.5]],
+                    "delete", "extra"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_corrupted_log_exits_cleanly_or_round_trips(fuzz_run, data):
+    log, _ = fuzz_run
+    lines = Path(log).read_text().splitlines()
+    line_no = data.draw(st.integers(1, len(lines)), label="line")
+    obj = json.loads(lines[line_no - 1])
+    # a key names a field, an index a probs entry
+    where = data.draw(st.sampled_from([*obj, *range(len(obj["probs"]))]), label="where")
+    corruption = data.draw(st.sampled_from(_LOG_CORRUPTIONS), label="corruption")
+    strict = data.draw(st.booleans(), label="strict")
+    node = obj if isinstance(where, str) else obj["probs"]
+    if corruption == "delete":
+        del node[where]
+    elif corruption == "extra":
+        obj["bogus_key"] = 1
+    else:
+        node[where] = corruption
+    lines[line_no - 1] = json.dumps(obj)
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        bad = work / "bad.log"
+        bad.write_text("\n".join(lines) + "\n")
+        codes = set()
+        for subcommand in ("gate", "guard", "calibrate", "sweep", "loso-eval"):
+            argv = _argv(subcommand, str(bad), str(work / subcommand)) + ["--strict"] * strict
+            if subcommand == "calibrate":
+                argv += ["--resamples", "0"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in (0, 2, 3, 4), (subcommand, err.getvalue())
+            if code == 3:
+                assert f"line {line_no}: " in err.getvalue(), (subcommand, err.getvalue())
+            codes.add(code)
+        if 0 in codes:
+            recs = records.ingest_log(str(bad), strict=strict)
+            assert all(records.validate_record(r) == [] for r in recs)
+            write_log(recs, str(work / "once.log"))
+            write_log(records.ingest_log(str(work / "once.log")), str(work / "twice.log"))
+            assert (work / "twice.log").read_bytes() == (work / "once.log").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--adaptive", "--no-adaptive"])
