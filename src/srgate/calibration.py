@@ -21,7 +21,7 @@ from .errors import (
     MetricUndefinedOnResample,
     MissingProbs,
 )
-from .records import PredictionRecord, RecordArrays, Records, as_columns, subject_codes
+from .records import ROW_BLOCK, PredictionRecord, RecordArrays, Records, as_columns, subject_codes
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,27 @@ def ece_arrays(conf: np.ndarray, correct: np.ndarray, m: int = 10) -> float:
     return float(np.sum(counts[nz] / conf.size * gaps))
 
 
+def _brier_rows(probs: np.ndarray, true_class: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to its one-hot label.
+
+    Rows go through ``np.sum((probs - onehot) ** 2, axis=1)`` ``ROW_BLOCK``
+    at a time, so no (n, K) one-hot is held; a row's sum depends on its own
+    entries alone (numpy sums a row of K >= 8 pairwise, so the expression,
+    not a column-by-column sum, is what keeps every bit).
+    """
+    rows = np.empty(probs.shape[0], dtype=np.float64)
+    for start in range(0, rows.size, ROW_BLOCK):
+        block = probs[start : start + ROW_BLOCK]
+        onehot = np.zeros_like(block)
+        onehot[np.arange(block.shape[0]), true_class[start : start + ROW_BLOCK]] = 1.0
+        rows[start : start + ROW_BLOCK] = np.sum((block - onehot) ** 2, axis=1)
+    return rows
+
+
 def brier_arrays(probs: np.ndarray, true_class: np.ndarray) -> float:
     if probs.size == 0:
         raise EmptyInput("no records")
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(probs.shape[0]), true_class] = 1.0
-    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+    return float(np.mean(_brier_rows(probs, true_class)))
 
 
 def auroc_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -309,8 +324,10 @@ def _resolve_metric(
 ) -> Callable[[np.ndarray], float]:
     """Bind a metric to the evaluation of one subject draw over the records.
 
-    AUPR scores the draw directly; every other metric scores the
-    concatenated resample of the drawn subjects' records.
+    AUPR scores the draw directly, and Brier averages the per-record rows
+    of ``_brier_rows``, computed once, over the concatenated resample; every
+    other metric scores the concatenated resample of the drawn subjects'
+    records.
     """
     groups = resampling.groups
 
@@ -321,7 +338,9 @@ def _resolve_metric(
     if metric == "ece":
         return on_resample(lambda idx: ece_arrays(a.confidence[idx], a.correct[idx], bins))
     if metric == "brier":
-        return on_resample(lambda idx: brier_arrays(a.probs[idx], a.true_class[idx]))
+        # the mean of the resample's rows, which is brier_arrays of it bit for bit
+        rows = _brier_rows(a.probs, a.true_class)
+        return on_resample(lambda idx: float(np.mean(rows[idx])))
     if metric == "accuracy":
         return on_resample(lambda idx: float(np.mean(a.correct[idx])))
     if metric in ("auroc", "aupr"):
@@ -369,7 +388,9 @@ def bootstrap_ci(
 
     AUPR resamples are scored as the presorted records weighted by the
     draw's subject multiplicities (see ``_aupr_by_draw``), bit-identical to
-    ``aupr_arrays`` on the concatenated resample; every other metric scores
+    ``aupr_arrays`` on the concatenated resample. Brier resamples average
+    the resample's rows of ``_brier_rows``, computed once, which is
+    ``brier_arrays`` of the resample bit for bit. Every other metric scores
     the concatenated resample itself.
 
     `resampling`, a ``SubjectResampling`` made from exactly these columns

@@ -336,15 +336,18 @@ def _cmd_quality(args) -> int:
 def _decision_rows(recs, config, adaptive: bool):
     """One decisions.csv row per record, yielded as it is decided. The
     adaptive gate's rows carry the expected-utility audit of each level,
-    the heuristic rows of `gating.utility_matrix`; the fixed gate's rows
-    carry zeros there."""
+    the heuristic rows of `gating.utility_matrix`, converted to Python
+    floats one block of rows at a time; the fixed gate's rows carry zeros
+    there."""
     t = config.thresholds
     if adaptive:
-        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic").tolist()
+        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
     for i, r in enumerate(recs):
         if adaptive:
             d = gating.gate_adaptive(r, t, config.adaptive)
-            utilities = audit[i]
+            if i % records.ROW_BLOCK == 0:
+                block = audit[i : i + records.ROW_BLOCK].tolist()
+            utilities = block[i % records.ROW_BLOCK]
         else:
             d = gating.gate(r.confidence, r.criticality, t)
             utilities = (0.0, 0.0, 0.0)
@@ -556,6 +559,14 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
+def _guard_outcome_rows(recs, outcomes: simulate.OutcomeColumns):
+    """One guard_outcomes.csv row per record, from the outcome columns
+    converted one block of rows at a time."""
+    for start, (_, confidence, _, used_sr, triggered, p_artifact) in outcomes.blocks():
+        clip_ids = (r.clip_id for r in recs[start : start + len(confidence)])
+        yield from zip(clip_ids, p_artifact, triggered, used_sr, confidence)
+
+
 def _write_experiment_outputs(out: str, report, recs, outcomes, effective, fmt: str) -> None:
     if fmt in ("report", "both"):
         simulate.write_report(report, os.path.join(out, "report.json"))
@@ -564,10 +575,7 @@ def _write_experiment_outputs(out: str, report, recs, outcomes, effective, fmt: 
         _write_csv(
             os.path.join(out, "guard_outcomes.csv"),
             ["clip_id", "p_artifact", "triggered", "used_sr", "final_confidence"],
-            (
-                (r.clip_id, o.p_artifact, o.triggered, o.used_sr, o.confidence)
-                for r, o in zip(recs, outcomes)
-            ),
+            _guard_outcome_rows(recs, outcomes),
         )
     _echo_config(out, effective)
 

@@ -36,6 +36,11 @@ log = logging.getLogger(__name__)
 PROB_SUM_TOL = 1e-9
 CONF_TOP1_TOL = 1e-9
 
+# Rows converted to Python values, or computed through an (n, K) temporary,
+# at a time: a whole column at once would be held twice, as an array and as
+# its conversion or temporary.
+ROW_BLOCK = 4096
+
 
 class SRLevel(enum.IntEnum):
     """Super-resolution enhancement level, ordered by increasing cost."""

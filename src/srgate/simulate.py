@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .records import (
     CLASSES,
     CRITICAL_IDS,
     NUM_CLASSES,
+    ROW_BLOCK,
     PredictionRecord,
     RecordArrays,
     SRLevel,
@@ -170,6 +171,59 @@ class EvalOutcome:
     p_artifact: float | None
 
 
+class OutcomeColumns:
+    """The outcomes of n records, one column per ``EvalOutcome`` field, row
+    i from record i. `pred` is -1 where the record's own vector stands and
+    `p_artifact` NaN where there is no score (a logged score is validated
+    into [0, 1], so NaN is never a real one). A run keeps these columns,
+    not one object per record.
+
+    ``columns[i] = outcome`` stores an outcome's values. Iterating yields
+    the ``EvalOutcome`` rows, made a block of ``ROW_BLOCK`` rows at a time.
+    """
+
+    __slots__ = ("pred", "confidence", "level", "used_sr", "triggered", "p_artifact")
+
+    def __init__(self, n: int):
+        self.pred = np.empty(n, np.int64)
+        self.confidence = np.empty(n, np.float64)
+        self.level = np.empty(n, np.int8)
+        self.used_sr = np.empty(n, bool)
+        self.triggered = np.empty(n, bool)
+        self.p_artifact = np.empty(n, np.float64)
+
+    def __len__(self) -> int:
+        return self.pred.size
+
+    def __setitem__(self, i: int, o: EvalOutcome) -> None:
+        self.pred[i] = -1 if o.pred is None else o.pred
+        self.confidence[i] = o.confidence
+        self.level[i] = o.level
+        self.used_sr[i] = o.used_sr
+        self.triggered[i] = o.triggered
+        self.p_artifact[i] = np.nan if o.p_artifact is None else o.p_artifact
+
+    def blocks(self) -> Iterator[tuple[int, list[list]]]:
+        """(start, values) for each block of ``ROW_BLOCK`` rows from row
+        `start` on: the block's six columns as Python lists in field order,
+        with None for a -1 `pred` and a NaN `p_artifact`."""
+        for start in range(0, len(self), ROW_BLOCK):
+            pred, *middle, p_artifact = (
+                getattr(self, name)[start : start + ROW_BLOCK].tolist()
+                for name in self.__slots__
+            )
+            yield start, [
+                [None if p < 0 else p for p in pred],
+                *middle,
+                [None if p != p else p for p in p_artifact],
+            ]
+
+    def __iter__(self) -> Iterator[EvalOutcome]:
+        for _, values in self.blocks():
+            for pred, conf, level, used_sr, triggered, p_artifact in zip(*values):
+                yield EvalOutcome(pred, conf, SRLevel(level), used_sr, triggered, p_artifact)
+
+
 # The SR level each policy picks for a record. gate and gate_adaptive are
 # looked up by name at each call, not bound here, so replacing the module's
 # attribute (to count or time the calls) takes effect.
@@ -246,18 +300,20 @@ def evaluate_records(
     policy: str,
     config: ExperimentConfig,
     seed: int,
-) -> list[EvalOutcome]:
+) -> OutcomeColumns:
     """Run the policy pipeline over every record.
 
-    Output order matches input order; each record's stochastic effects
-    draw from a substream keyed by its position alone.
+    Row i of the result is record i's outcome, stored as soon as it is
+    decided; each record's stochastic effects draw from a substream keyed
+    by its position alone.
     """
     level_of = _POLICY_LEVELS.get(policy)
     if level_of is None:
         raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
-    return [
-        _evaluate_record(r, i, level_of(r, config), config, seed) for i, r in enumerate(records)
-    ]
+    outcomes = OutcomeColumns(len(records))
+    for i, r in enumerate(records):
+        outcomes[i] = _evaluate_record(r, i, level_of(r, config), config, seed)
+    return outcomes
 
 
 _CRITICAL = np.array([c.critical for c in CLASSES])
@@ -268,21 +324,23 @@ def _critical_fp_mask(a: RecordArrays, conf_cut: float) -> np.ndarray:
     return ~_CRITICAL[a.true_class] & _CRITICAL[a.pred] & (a.confidence > conf_cut)
 
 
-def final_arrays(arrays: RecordArrays, outcomes: Sequence[EvalOutcome]) -> RecordArrays:
+def final_arrays(arrays: RecordArrays, outcomes: OutcomeColumns) -> RecordArrays:
     """Row i of `arrays` (the input's ``record_arrays``) after outcome i.
 
-    Each row takes its outcome's confidence. A row whose outcome carries a
-    prediction gets mass ``max(confidence, CONF_FLOOR + 1e-9)`` on it and
-    ``(1 - mass) / (K - 1)`` on every other class, so it stays the argmax
-    after a guard discount below 1/K, and the criticality of its class.
-    Every other row keeps its own vector.
+    Each row takes its outcome's confidence (the returned column is the
+    outcomes' own). A row whose outcome carries a prediction gets mass
+    ``max(confidence, CONF_FLOOR + 1e-9)`` on it and ``(1 - mass) / (K - 1)``
+    on every other class, so it stays the argmax after a guard discount
+    below 1/K, and the criticality of its class. Every other row keeps its
+    own vector. A ValueError names both counts unless there is one outcome
+    per row.
     """
-    confidence = np.array([o.confidence for o in outcomes], dtype=np.float64)
-    # -1 marks an outcome that keeps its record's vector
-    outcome_pred = np.fromiter((-1 if o.pred is None else o.pred for o in outcomes), np.int64)
-    rows = np.flatnonzero(outcome_pred >= 0)
-    new_pred = outcome_pred[rows]
-    mass = np.maximum(confidence[rows], CONF_FLOOR + 1e-9)
+    n = arrays.confidence.size
+    if len(outcomes) != n:
+        raise ValueError(f"{len(outcomes)} outcomes for {n} rows; need one outcome per row")
+    rows = np.flatnonzero(outcomes.pred >= 0)
+    new_pred = outcomes.pred[rows]
+    mass = np.maximum(outcomes.confidence[rows], CONF_FLOOR + 1e-9)
     probs = arrays.probs.copy()
     probs[rows] = ((1.0 - mass) / (NUM_CLASSES - 1))[:, None]
     probs[rows, new_pred] = mass
@@ -292,7 +350,8 @@ def final_arrays(arrays: RecordArrays, outcomes: Sequence[EvalOutcome]) -> Recor
     pred[rows] = new_pred
     correct = pred == arrays.true_class
     return arrays._replace(
-        confidence=confidence, criticality=criticality, probs=probs, pred=pred, correct=correct
+        confidence=outcomes.confidence, criticality=criticality, probs=probs, pred=pred,
+        correct=correct,
     )
 
 
@@ -366,18 +425,18 @@ def run_experiment_with_outcomes(
     policy: str,
     config: ExperimentConfig,
     seed: int,
-) -> tuple[ExperimentReport, list[EvalOutcome]]:
+) -> tuple[ExperimentReport, OutcomeColumns]:
     """Gate, apply synthetic SR effects and the guard, and score per LOSO fold.
 
     Nothing is fitted on training folds (the policies are closed-form), so
     each record is evaluated once and grouped by its test subject. The
     pooled calibration report carries subject-level bootstrap CIs for ECE
     and for AUPR of each critical class. Also returns the per-record
-    outcomes for audit emission.
+    outcomes, as ``OutcomeColumns``, for audit emission.
 
     Scoring runs on arrays: the input records become one ``RecordArrays``,
     and the outcomes turn it into the final columns (``final_arrays``),
-    next to an SR-level array and a guard-trigger array. The pooled report
+    next to the outcomes' own level and trigger columns. The pooled report
     and its CIs, pooled cost, guard counts and critical false positives
     come from those arrays, and every fold's accuracy, ECE, Brier, cost,
     triggers and critical false positives from the rows of its test
@@ -397,8 +456,7 @@ def run_experiment_with_outcomes(
     arrays = final_arrays(record_arrays(records), outcomes)
     pooled = pooled_calibration(arrays, config, seed)
 
-    levels = np.fromiter((o.level for o in outcomes), dtype=np.int64, count=len(outcomes))
-    triggered = np.fromiter((o.triggered for o in outcomes), dtype=bool, count=len(outcomes))
+    levels, triggered = outcomes.level, outcomes.triggered
     critical_fp = _critical_fp_mask(arrays, config.critical_fp_conf_cut)
 
     n_sr = int(np.count_nonzero(levels))

@@ -24,6 +24,7 @@ from srgate.calibration import (
     auroc,
     bootstrap_ci,
     brier,
+    brier_arrays,
     calibration_report,
     ece,
     per_class_ranking,
@@ -37,7 +38,7 @@ from srgate.errors import (
 )
 from srgate.config import ExperimentConfig
 from srgate.costs import CostProfile
-from srgate.records import PredictionRecord, RecordArrays, UtilityParams, record_arrays
+from srgate.records import ROW_BLOCK, PredictionRecord, RecordArrays, UtilityParams, record_arrays
 from srgate.simulate import loso_splits, run_experiment
 
 
@@ -209,6 +210,28 @@ def test_brier_two_class_hand_cases():
     assert brier([r1]) == pytest.approx(0.08, abs=1e-12)
     r2 = PredictionRecord("s", "b", 1, (0.5, 0.5), 0.5, 0, 0.0, 0.5)
     assert brier([r2]) == pytest.approx(0.5, abs=1e-12)
+
+
+def _one_hot_brier(probs, true_class):
+    # the whole-matrix formula: an (n, K) one-hot beside the (n, K) difference
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(probs.shape[0]), true_class] = 1.0
+    return float(np.mean(np.sum((probs - onehot) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("k", [2, 7, 8, 12])
+def test_brier_arrays_equal_the_one_hot_formula_bit_for_bit(k):
+    # numpy sums a row of 8 or more entries pairwise, so only the same
+    # expression per row keeps every bit; n spans three row blocks
+    rng = np.random.default_rng(k)
+    n = 2 * ROW_BLOCK + 123
+    probs = rng.dirichlet(np.ones(k), size=n)
+    true_class = rng.integers(0, k, n)
+    picked = np.sort(rng.choice(n, n // 2, replace=False))
+    for rows in (slice(None), slice(1, None, 3), slice(None, 5), picked):
+        p, t = probs[rows], true_class[rows]
+        assert brier_arrays(p, t).hex() == _one_hot_brier(p, t).hex()
+    assert not probs[1::3].flags.c_contiguous
 
 
 def test_brier_matches_oracle_and_decomposition():
@@ -485,7 +508,11 @@ def _aupr_of_class(k):
 
 @pytest.mark.parametrize(
     "metric,class_id,reference",
-    [pytest.param("ece", None, ece, id="ece"), pytest.param("aupr", 6, _aupr_of_class(6), id="aupr")],
+    [
+        pytest.param("ece", None, ece, id="ece"),
+        pytest.param("aupr", 6, _aupr_of_class(6), id="aupr"),
+        pytest.param("brier", None, brier, id="brier"),
+    ],
 )
 def test_bootstrap_matches_reference_resampler_small(metric, class_id, reference):
     rng = np.random.default_rng(8)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_record, random_records
-from srgate.config import ExperimentConfig
+from srgate.config import ExperimentConfig, ScenarioConfig, SrEffectConfig
 from srgate.errors import (
     EmptyInput,
     EmptyLog,
@@ -38,7 +38,7 @@ from srgate.records import (
     validate_record,
     write_log,
 )
-from srgate.simulate import EvalOutcome, sample_stream
+from srgate.simulate import EvalOutcome, evaluate_records, sample_stream
 
 
 def test_taxonomy_has_seven_classes_with_default_critical_set():
@@ -368,3 +368,27 @@ def test_ingest_keeps_few_live_bytes_per_record(tmp_path):
         tracemalloc.stop()
     assert len(got) == 5005
     assert live / len(got) < 575
+
+
+@pytest.mark.parametrize("scenario", ["synthetic", "log_driven"])
+def test_experiment_keeps_few_live_bytes_per_outcome(scenario):
+    """Live bytes of evaluate_records' result per record: 111 (synthetic)
+    and 96 (log-driven) while each outcome was an EvalOutcome, 28 as
+    columns (Python 3.11, 64-bit)."""
+    config = ExperimentConfig(resamples=0)
+    recs = sample_stream(config.scenario.model, 715, 24, seed=5)
+    if scenario == "log_driven":
+        effect = SrEffectConfig(uplift_enabled=False, hallucination_enabled=False)
+        config = config.with_overrides(scenario=ScenarioConfig(config.scenario.model, effect))
+        recs = [replace(r, artifact_score=(i % 10) / 10) for i, r in enumerate(recs)]
+    evaluate_records(recs[:10], "gate_adaptive", config, seed=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = evaluate_records(recs, "gate_adaptive", config, seed=1)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 5005
+    assert live / len(got) <= 48

@@ -9,7 +9,7 @@ from scipy import integrate, stats
 
 import reference_decide as ref
 from helpers import count_conversions, make_record, random_records
-from srgate import calibration
+from srgate import calibration, simulate
 from srgate.config import (
     CONF_FLOOR,
     BehaviorConfidenceModel,
@@ -30,6 +30,7 @@ from srgate.costs import accumulate_cost
 from srgate.records import (
     CLASSES,
     NUM_CLASSES,
+    ROW_BLOCK,
     PredictionRecord,
     SRLevel,
     ingest_log,
@@ -38,6 +39,7 @@ from srgate.records import (
     write_log,
 )
 from srgate.simulate import (
+    EvalOutcome,
     evaluate_records,
     final_arrays,
     loso_splits,
@@ -444,6 +446,41 @@ def test_final_columns_equal_the_frozen_rebuild(case):
     if case != "synthetic":
         assert (final.confidence < CONF_FLOOR).any()
         assert any(o.pred is None for o in outcomes)
+
+
+def test_final_arrays_need_one_outcome_per_row():
+    recs = small_stream(n_per_class=3, subjects=3)
+    with pytest.raises(ValueError, match="5 outcomes for 21 rows"):
+        final_arrays(record_arrays(recs), evaluate_records(recs[:5], "fixed_4x", FAST, seed=0))
+    with pytest.raises(ValueError, match="21 outcomes for 5 rows"):
+        final_arrays(record_arrays(recs[:5]), evaluate_records(recs, "fixed_4x", FAST, seed=0))
+
+
+@pytest.mark.parametrize("scenario", ["synthetic", "log_driven"])
+def test_outcome_columns_give_back_every_outcome_as_decided(monkeypatch, scenario):
+    # more records than one conversion block; the log-driven stream holds
+    # records without a score, so None comes back for pred and p_artifact
+    recs = small_stream(n_per_class=600, subjects=4, seed=11)
+    cfg = FAST
+    if scenario == "log_driven":
+        recs, cfg = _log_driven(recs, cfg)
+        recs = [replace(r, artifact_score=None) if i % 5 == 0 else r for i, r in enumerate(recs)]
+    assert len(recs) > ROW_BLOCK
+    decided = []
+    guarded_outcome = simulate.guarded_outcome
+
+    def recording(*args):
+        decided.append(guarded_outcome(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(simulate, "guarded_outcome", recording)
+    outcomes = evaluate_records(recs, "gate_adaptive", cfg, seed=3)
+    assert len(outcomes) == len(decided) == len(recs)
+    rows = list(outcomes)
+    assert rows == decided
+    assert all(type(o) is EvalOutcome and type(o.level) is SRLevel for o in rows)
+    assert any(o.pred is None for o in rows) and any(o.pred is not None for o in rows)
+    assert any(o.p_artifact is None for o in rows) and any(o.triggered for o in rows)
 
 
 @pytest.mark.parametrize("scenario", ["synthetic", "log_driven"])
