@@ -7,9 +7,11 @@ and the subcommands that take it. Flags win over file values, file values
 win over defaults; a file key that no subcommand reads, or one given twice,
 is a usage error.
 Every run writes its resolved configuration to ``effective_config.json``
-in the output directory; ``quality``, ``calibrate``, ``pareto``,
-``simulate`` and ``loso-eval`` create that directory only once their
-computation has returned, so a failed run leaves no files. The
+in the output directory; every subcommand creates that directory only
+once its computation has returned, so a failed run leaves no files.
+``gate`` and ``guard`` decide every record first (``simulate.decide``,
+``simulate.evaluate_records``), and ``gate --adaptive`` computes its
+audit; only the formatting of their rows is left to the write. The
 subcommands in ``_OPTIONS`` take ``--config``, and feeding the echo back
 through it reproduces the run; those that read a ``--log`` take
 ``--strict``. All randomness flows from ``--seed``.
@@ -26,6 +28,8 @@ import os
 import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence, get_args
+
+import numpy as np
 
 from . import calibration as cal
 from . import config as cfgmod
@@ -198,8 +202,7 @@ def _experiment_config(args, filecfg: dict) -> cfgmod.ExperimentConfig:
     elif args.subcommand == "loso-eval":
         # log evaluation scores records as they stand: each synthetic SR
         # effect is off unless a flag or a flat key sets it, unlike simulate
-        effect = cfgmod.SrEffectConfig(uplift_enabled=False, hallucination_enabled=False)
-        config = cfgmod.ExperimentConfig(scenario=cfgmod.ScenarioConfig(sr_effect=effect))
+        config = simulate.log_driven(cfgmod.ExperimentConfig())
     else:
         config = cfgmod.ExperimentConfig()
     whole = cfgmod.experiment_to_dict(config)
@@ -276,6 +279,12 @@ def _write_reliability(out: str, bins) -> None:
 
 # --- subcommand bodies ------------------------------------------------------------
 
+# a decision column's codes as written: SR levels by value, gate reasons by
+# their index in GateReason (`simulate.decide`'s reason code)
+_LEVEL_LABELS = [level.label for level in records.SRLevel]
+_REASONS = [reason.value for reason in records.GateReason]
+
+
 def _naming(files: str, fn, *images) -> float:
     """``fn(*images)``; a shape error names `files` before its message."""
     try:
@@ -333,39 +342,25 @@ def _cmd_quality(args) -> int:
     return 0
 
 
-def _decision_rows(recs, config, adaptive: bool):
-    """One decisions.csv row per record, yielded as it is decided. The
-    adaptive gate's rows carry the expected-utility audit of each level,
-    the heuristic rows of `gating.utility_matrix`, converted to Python
-    floats one block of rows at a time; the fixed gate's rows carry zeros
-    there."""
-    t = config.thresholds
-    if adaptive:
-        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
-    for i, r in enumerate(recs):
-        if adaptive:
-            d = gating.gate_adaptive(r, t, config.adaptive)
-            if i % records.ROW_BLOCK == 0:
-                block = audit[i : i + records.ROW_BLOCK].tolist()
-            utilities = block[i % records.ROW_BLOCK]
-        else:
-            d = gating.gate(r.confidence, r.criticality, t)
-            utilities = (0.0, 0.0, 0.0)
-        yield (
-            r.clip_id,
-            r.subject_id,
-            r.confidence,
-            r.criticality,
-            d.level.label,
-            d.reason.value,
-            d.tau_used,
-            *utilities,
-        )
+def _decision_rows(recs, decisions, audit):
+    """One decisions.csv row per record, from `simulate.decide`'s columns
+    and the (n, 3) audit matrix, both converted to Python values one block
+    of rows at a time."""
+    for start in range(0, len(recs), records.ROW_BLOCK):
+        stop = start + records.ROW_BLOCK
+        rows = zip(recs[start:stop], decisions[start:stop].tolist(), audit[start:stop].tolist())
+        for r, (level, reason, tau_used), utilities in rows:
+            decision = (_LEVEL_LABELS[level], _REASONS[reason], tau_used)
+            yield (r.clip_id, r.subject_id, r.confidence, r.criticality, *decision, *utilities)
 
 
 def _cmd_gate(args) -> int:
     config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
+    decisions = simulate.decide(recs, "gate_adaptive" if run["adaptive_gate"] else "gate", config)
+    audit = np.zeros((len(recs), 3))  # the fixed gate writes no audit
+    if run["adaptive_gate"]:
+        audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
     out = _outdir(args)
     _write_csv(
         os.path.join(out, "decisions.csv"),
@@ -381,7 +376,7 @@ def _cmd_gate(args) -> int:
             "utility_2x",
             "utility_4x",
         ],
-        _decision_rows(recs, config, run["adaptive_gate"]),
+        _decision_rows(recs, decisions, audit),
     )
     _echo_config(out, _effective(run, config))
     return 0
@@ -422,27 +417,30 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _guard_rows(recs, config):
-    """One guard.csv row per record, yielded as it is decided."""
-    for r in recs:
-        level = gating.gate(r.confidence, r.criticality, config.thresholds).level
-        label = (
-            guard.label_artifact(r.ssim_vs_hr, r.perceptual_loss)
-            if r.ssim_vs_hr is not None and r.perceptual_loss is not None
-            else None
-        )
-        o = simulate.guarded_outcome(r, level, None, r.confidence, r.artifact_score, config)
-        yield (r.clip_id, r.artifact_score, level.label, o.triggered, o.used_sr, o.confidence, label)
+def _guard_rows(recs, outcomes: simulate.OutcomeColumns):
+    """One guard.csv row per record, from the outcome columns converted one
+    block of rows at a time; `p_artifact` is the record's own score, and
+    `artifact_label` is labelled per record."""
+    for start, (_, confidence, levels, used_sr, triggered, _) in outcomes.blocks():
+        rows = zip(recs[start : start + len(confidence)], levels, triggered, used_sr, confidence)
+        for r, level, fired, sr, conf in rows:
+            label = None
+            if r.ssim_vs_hr is not None and r.perceptual_loss is not None:
+                label = guard.label_artifact(r.ssim_vs_hr, r.perceptual_loss)
+            yield (r.clip_id, r.artifact_score, _LEVEL_LABELS[level], fired, sr, conf, label)
 
 
 def _cmd_guard(args) -> int:
     config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
+    # the fixed gate, then the guard on the logged scores, as loso-eval
+    # scores a log; the echo keeps the config as given
+    outcomes = simulate.evaluate_records(recs, "gate", simulate.log_driven(config), 0)
     out = _outdir(args)
     _write_csv(
         os.path.join(out, "guard.csv"),
         ["clip_id", "p_artifact", "level", "triggered", "used_sr", "final_confidence", "artifact_label"],
-        _guard_rows(recs, config),
+        _guard_rows(recs, outcomes),
     )
     _echo_config(out, _effective(run, config))
     return 0
@@ -453,7 +451,6 @@ def _cmd_sweep(args) -> int:
     # before the ingest and the output directory, so a bad setting costs neither
     gating.check_sweep_settings(run["rel_range"], run["steps"], run["objective"])
     recs = records.ingest_log(args.log, strict=args.strict)
-    out = _outdir(args)
     rows = gating.sensitivity_sweep(
         recs,
         config.thresholds,
@@ -463,6 +460,7 @@ def _cmd_sweep(args) -> int:
         steps=run["steps"],
         objective=run["objective"],
     )
+    out = _outdir(args)
     _write_csv(
         os.path.join(out, "sweep.csv"),
         [f.name for f in fields(gating.SweepRow)],

@@ -13,7 +13,7 @@ on evaluation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .guard import apply_guard
 from .records import (
     CLASSES,
     CRITICAL_IDS,
+    GateReason,
     NUM_CLASSES,
     ROW_BLOCK,
     PredictionRecord,
@@ -224,15 +225,34 @@ class OutcomeColumns:
                 yield EvalOutcome(pred, conf, SRLevel(level), used_sr, triggered, p_artifact)
 
 
-# The SR level each policy picks for a record. gate and gate_adaptive are
-# looked up by name at each call, not bound here, so replacing the module's
-# attribute (to count or time the calls) takes effect.
-_POLICY_LEVELS = {
-    "fixed_none": lambda r, c: SRLevel.NONE,
-    "fixed_4x": lambda r, c: SRLevel.X4,
-    "gate": lambda r, c: gate(r.confidence, r.criticality, c.thresholds).level,
-    "gate_adaptive": lambda r, c: gate_adaptive(r, c.thresholds, c.adaptive).level,
-}
+# decide's columns: the SR level, the reason's index in GateReason (-1
+# under a fixed policy) and the high threshold used (NaN under a fixed policy)
+DECISION = np.dtype([("level", np.int8), ("reason", np.int8), ("tau_used", np.float64)])
+_REASON_CODES = {reason: code for code, reason in enumerate(GateReason)}
+
+
+def decide(
+    records: Sequence[PredictionRecord], policy: str, config: ExperimentConfig
+) -> np.ndarray:
+    """The SR level `policy` picks for each record, as one ``DECISION``
+    array: row i is record i's level, reason code and `tau_used`.
+
+    The gate policies call `gate` or `gate_adaptive` once per record, looked
+    up by name at each call, not bound here, so replacing the module's
+    attribute (to count or time the calls) takes effect. A ValueError names
+    an unknown policy.
+    """
+    if policy in ("fixed_none", "fixed_4x"):
+        level = SRLevel.NONE if policy == "fixed_none" else SRLevel.X4
+        return np.fromiter([(level, -1, np.nan)] * len(records), DECISION)
+    if policy == "gate":
+        decisions = (gate(r.confidence, r.criticality, config.thresholds) for r in records)
+    elif policy == "gate_adaptive":
+        decisions = (gate_adaptive(r, config.thresholds, config.adaptive) for r in records)
+    else:
+        raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
+    rows = ((d.level, _REASON_CODES[d.reason], d.tau_used) for d in decisions)
+    return np.fromiter(rows, DECISION, count=len(records))
 
 
 def guarded_outcome(
@@ -295,24 +315,31 @@ def _evaluate_record(
     return guarded_outcome(r, level, pred, conf, p_artifact, config)
 
 
+def log_driven(config: ExperimentConfig) -> ExperimentConfig:
+    """`config` with both synthetic SR effects off, so that every record is
+    scored as it stands, its guard reading the logged artifact score."""
+    effect = replace(config.scenario.sr_effect, uplift_enabled=False, hallucination_enabled=False)
+    return replace(config, scenario=replace(config.scenario, sr_effect=effect))
+
+
 def evaluate_records(
     records: Sequence[PredictionRecord],
     policy: str,
     config: ExperimentConfig,
     seed: int,
 ) -> OutcomeColumns:
-    """Run the policy pipeline over every record.
+    """Run the policy pipeline over every record: `decide` picks the levels,
+    then each record gets its SR effect and guard.
 
     Row i of the result is record i's outcome, stored as soon as it is
-    decided; each record's stochastic effects draw from a substream keyed
+    evaluated; each record's stochastic effects draw from a substream keyed
     by its position alone.
     """
-    level_of = _POLICY_LEVELS.get(policy)
-    if level_of is None:
-        raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
+    levels = decide(records, policy, config)["level"]
     outcomes = OutcomeColumns(len(records))
-    for i, r in enumerate(records):
-        outcomes[i] = _evaluate_record(r, i, level_of(r, config), config, seed)
+    by_value = tuple(SRLevel)  # indexing costs less per record than SRLevel(value)
+    for i, (r, level) in enumerate(zip(records, levels)):
+        outcomes[i] = _evaluate_record(r, i, by_value[level], config, seed)
     return outcomes
 
 
@@ -442,8 +469,6 @@ def run_experiment_with_outcomes(
     triggers and critical false positives from the rows of its test
     subject, the index array ``LosoFold.rows`` of ``loso_splits``.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; choose one of {POLICIES}")
     if not records:
         raise EmptyInput("no records")
     for i, r in enumerate(records):

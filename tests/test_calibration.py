@@ -767,3 +767,10 @@ def test_calibration_report_counts_and_ci_keys():
     assert lo <= report.ece <= hi or math.isclose(lo, hi)
     assert level == 0.95
     assert set(report.per_class_aupr) == set(range(7))
+
+
+def test_aupr_of_presorted_tied_scores_finds_the_tie():
+    # already in descending order, but not strictly: the tie is one step
+    scores = np.array([0.9, 0.9, 0.5])
+    labels = np.array([True, False, True])
+    assert aupr_arrays(scores, labels) == 0.5833333333333333

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import count_conversions, make_record
 from srgate import calibration as cal
-from srgate import errors, gating, quality, records
+from srgate import errors, gating, quality, records, simulate
 from srgate.cli import build_parser, run_cli
 from srgate.config import ExperimentConfig
 from srgate.records import record_to_obj, write_log
@@ -1448,4 +1448,74 @@ def test_simulate_with_more_subjects_than_records_per_class_exits_2(tmp_path, ca
             "--resamples", "0", "--out", str(out)]
     assert run_cli(argv) == 2
     assert "n_subjects 24 exceeds n_per_class 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("true_class,code", [(6, 0), (7, 3)])
+def test_log_true_class_past_the_last_class_id_exits_3(tmp_path, capsys, true_class, code):
+    good = record_to_obj(make_record())
+    log = tmp_path / "edge.log"
+    log.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, true_class=true_class)) + "\n")
+    assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path / "o")]) == code
+    if code:
+        assert "line 2: true_class: not a class id in 0..6" in capsys.readouterr().err
+
+
+def test_log_infinite_blur_exits_3_naming_it(tmp_path, capsys):
+    good = record_to_obj(make_record())
+    log = tmp_path / "blur.log"
+    # json writes and reads an infinite float as the bare token Infinity
+    bad = json.dumps(dict(good, blur=float("inf")))
+    assert '"blur": Infinity' in bad
+    log.write_text(json.dumps(good) + "\n" + bad + "\n")
+    assert run_cli(["gate", "--log", str(log), "--out", str(tmp_path / "o")]) == 3
+    assert "line 2: blur: " in capsys.readouterr().err
+
+
+def test_calibrate_aupr_does_not_depend_on_log_row_order(tmp_path):
+    # ECE, Brier and mean_conf sum in row order and may move in the last
+    # bits; AUPR sorts by score, and a tied step is one step in any order
+    rng = np.random.default_rng(2)
+    # one-decimal confidences, so most class scores are tied with others
+    recs = [
+        make_record(
+            confidence=float(rng.integers(3, 10)) / 10, predicted=int(rng.integers(0, 7)),
+            true_class=int(rng.integers(0, 7)), subject=f"S{i % 6}", clip=f"c{i}",
+        )
+        for i in range(420)
+    ]
+    shuffled = [recs[i] for i in rng.permutation(len(recs))]
+    reports, curves = [], []
+    for name, order in (("rows", recs), ("shuffled", shuffled)):
+        log, out = tmp_path / f"{name}.log", tmp_path / name
+        write_log(order, str(log))
+        argv = ["calibrate", "--log", str(log), "--seed", "3", "--resamples", "50"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        report = json.loads((out / "calibration_report.json").read_text())["calibration"]
+        reports.append((report["per_class_aupr"], {k: v for k, v in report["ci"].items() if k != "ece"}))
+        curves.append([(out / f"pr_{c.name}.csv").read_bytes() for c in records.CLASSES if c.critical])
+    assert reports[0] == reports[1]
+    assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        (["gate"], "simulate", "decide"),
+        (["gate", "--adaptive"], "gating", "utility_matrix"),
+        (["guard"], "simulate", "evaluate_records"),
+        (["sweep"], "gating", "sensitivity_sweep"),
+    ],
+    ids=["gate", "gate-adaptive", "guard", "sweep"],
+)
+def test_failing_log_subcommand_creates_no_output_directory(
+    stream_log, tmp_path, monkeypatch, capsys, argv, module, name
+):
+    def fail(*args, **kwargs):
+        raise errors.EmptyInput("boom")
+
+    monkeypatch.setattr({"simulate": simulate, "gating": gating}[module], name, fail)
+    out = tmp_path / "o"
+    assert run_cli([*argv, "--log", stream_log, "--out", str(out)]) == 3
+    assert "boom" in capsys.readouterr().err
     assert not out.exists()

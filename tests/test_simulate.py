@@ -552,3 +552,16 @@ def test_report_config_echo_reproduces_run():
         recs, report.config["policy"], rebuilt_cfg, seed=report.config["seed"]
     )
     assert render_report(again) == render_report(report)
+
+
+def test_a_final_confidence_on_the_cut_is_not_a_critical_false_positive():
+    cut = FAST.critical_fp_conf_cut
+    above = float(np.nextafter(cut, 1.0))
+    # normal driving (class 0, not critical) predicted as texting (class 1, critical)
+    recs = [
+        make_record(confidence=conf, predicted=1, true_class=0, subject=subject, clip=subject)
+        for subject, conf in (("S01", cut), ("S02", above))
+    ]
+    report = run_experiment(recs, "fixed_none", FAST, seed=1)
+    assert report.guard.critical_false_positives == 1
+    assert [f.critical_false_positives for f in report.folds] == [0, 1]
