@@ -344,14 +344,10 @@ def _cmd_quality(args) -> int:
 
 def _decision_rows(recs, decisions, audit):
     """One decisions.csv row per record, from `simulate.decide`'s columns
-    and the (n, 3) audit matrix, both converted to Python values one block
-    of rows at a time."""
-    for start in range(0, len(recs), records.ROW_BLOCK):
-        stop = start + records.ROW_BLOCK
-        rows = zip(recs[start:stop], decisions[start:stop].tolist(), audit[start:stop].tolist())
-        for r, (level, reason, tau_used), utilities in rows:
-            decision = (_LEVEL_LABELS[level], _REASONS[reason], tau_used)
-            yield (r.clip_id, r.subject_id, r.confidence, r.criticality, *decision, *utilities)
+    and the (n, 3) audit matrix."""
+    for r, (level, reason, tau_used), utilities in records.row_blocks(recs, decisions, audit):
+        decision = (_LEVEL_LABELS[level], _REASONS[reason], tau_used)
+        yield (r.clip_id, r.subject_id, r.confidence, r.criticality, *decision, *utilities)
 
 
 def _cmd_gate(args) -> int:
@@ -411,23 +407,21 @@ def _cmd_calibrate(args) -> int:
             _write_csv(
                 os.path.join(out, f"pr_{records.CLASSES[k].name}.csv"),
                 ["threshold", "precision", "recall"],
-                zip(thresholds.tolist(), precision.tolist(), recall.tolist()),
+                records.row_blocks(thresholds, precision, recall),
             )
     _echo_config(out, effective)
     return 0
 
 
 def _guard_rows(recs, outcomes: simulate.OutcomeColumns):
-    """One guard.csv row per record, from the outcome columns converted one
-    block of rows at a time; `p_artifact` is the record's own score, and
-    `artifact_label` is labelled per record."""
-    for start, (_, confidence, levels, used_sr, triggered, _) in outcomes.blocks():
-        rows = zip(recs[start : start + len(confidence)], levels, triggered, used_sr, confidence)
-        for r, level, fired, sr, conf in rows:
-            label = None
-            if r.ssim_vs_hr is not None and r.perceptual_loss is not None:
-                label = guard.label_artifact(r.ssim_vs_hr, r.perceptual_loss)
-            yield (r.clip_id, r.artifact_score, _LEVEL_LABELS[level], fired, sr, conf, label)
+    """One guard.csv row per record, from the outcome columns; `p_artifact`
+    is the record's own score, and `artifact_label` is labelled per record."""
+    columns = (outcomes.level, outcomes.triggered, outcomes.used_sr, outcomes.confidence)
+    for r, level, fired, sr, conf in records.row_blocks(recs, *columns):
+        label = None
+        if r.ssim_vs_hr is not None and r.perceptual_loss is not None:
+            label = guard.label_artifact(r.ssim_vs_hr, r.perceptual_loss)
+        yield (r.clip_id, r.artifact_score, _LEVEL_LABELS[level], fired, sr, conf, label)
 
 
 def _cmd_guard(args) -> int:
@@ -558,11 +552,11 @@ def _cmd_pareto(args) -> int:
 
 
 def _guard_outcome_rows(recs, outcomes: simulate.OutcomeColumns):
-    """One guard_outcomes.csv row per record, from the outcome columns
-    converted one block of rows at a time."""
-    for start, (_, confidence, _, used_sr, triggered, p_artifact) in outcomes.blocks():
-        clip_ids = (r.clip_id for r in recs[start : start + len(confidence)])
-        yield from zip(clip_ids, p_artifact, triggered, used_sr, confidence)
+    """One guard_outcomes.csv row per record, from the outcome columns; a
+    NaN `p_artifact` (no score) is written empty."""
+    columns = (outcomes.p_artifact, outcomes.triggered, outcomes.used_sr, outcomes.confidence)
+    for r, p_artifact, fired, sr, conf in records.row_blocks(recs, *columns):
+        yield r.clip_id, None if p_artifact != p_artifact else p_artifact, fired, sr, conf
 
 
 def _write_experiment_outputs(out: str, report, recs, outcomes, effective, fmt: str) -> None:

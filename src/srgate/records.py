@@ -451,6 +451,16 @@ def record_arrays(records: Sequence[PredictionRecord]) -> RecordArrays:
     )
 
 
+def row_blocks(*columns: Sequence) -> Iterator[tuple]:
+    """The rows of equal-length `columns` (arrays, or a list such as the
+    records) as tuples of Python values, as ``zip`` of the columns'
+    ``tolist()`` gives them: each array is converted ``ROW_BLOCK`` rows at
+    a time, and a list is sliced as it stands."""
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = (column[start : start + ROW_BLOCK] for column in columns)
+        yield from zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+
+
 # what every array consumer takes: records, or their columns (any row selection)
 Records = Sequence[PredictionRecord] | RecordArrays
 

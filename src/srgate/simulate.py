@@ -42,11 +42,11 @@ from .records import (
     CRITICAL_IDS,
     GateReason,
     NUM_CLASSES,
-    ROW_BLOCK,
     PredictionRecord,
     RecordArrays,
     SRLevel,
     record_arrays,
+    row_blocks,
     validate_record,
     violation_error,
 )
@@ -160,9 +160,10 @@ def loso_splits(records: Sequence[PredictionRecord]) -> list[LosoFold]:
 
 @dataclass(frozen=True, slots=True)
 class EvalOutcome:
-    """Final state of one record after gating, SR effect, and guard. `pred`
-    is None where the record's own probability vector stands; otherwise
-    ``final_arrays`` rebuilds the vector from `pred` and `confidence`."""
+    """Final state of one record after gating, SR effect, and guard, as
+    iterating ``OutcomeColumns`` gives it back. `pred` is None where the
+    record's own probability vector stands; otherwise ``final_arrays``
+    rebuilds the vector from `pred` and `confidence`."""
 
     pred: int | None
     confidence: float
@@ -172,57 +173,40 @@ class EvalOutcome:
     p_artifact: float | None
 
 
-class OutcomeColumns:
-    """The outcomes of n records, one column per ``EvalOutcome`` field, row
-    i from record i. `pred` is -1 where the record's own vector stands and
-    `p_artifact` NaN where there is no score (a logged score is validated
-    into [0, 1], so NaN is never a real one). A run keeps these columns,
-    not one object per record.
+# evaluate_records' columns, one row per record: the final prediction (-1
+# where the record's own vector stands), confidence, level, whether the SR
+# output stands, whether the guard fired, and the artifact probability (NaN
+# where there is no score; a logged score is validated into [0, 1], so NaN
+# is never a real one)
+OUTCOME = np.dtype([
+    ("pred", np.int64), ("confidence", np.float64), ("level", np.int8),
+    ("used_sr", bool), ("triggered", bool), ("p_artifact", np.float64),
+])
 
-    ``columns[i] = outcome`` stores an outcome's values. Iterating yields
-    the ``EvalOutcome`` rows, made a block of ``ROW_BLOCK`` rows at a time.
+
+class OutcomeColumns:
+    """The outcomes of n records, one contiguous column per ``OUTCOME``
+    field, row i from record i. A run keeps these columns, not one object
+    per record. Iterating yields the ``EvalOutcome`` rows, with None for a
+    -1 `pred` and a NaN `p_artifact`.
     """
 
-    __slots__ = ("pred", "confidence", "level", "used_sr", "triggered", "p_artifact")
+    __slots__ = OUTCOME.names
 
-    def __init__(self, n: int):
-        self.pred = np.empty(n, np.int64)
-        self.confidence = np.empty(n, np.float64)
-        self.level = np.empty(n, np.int8)
-        self.used_sr = np.empty(n, bool)
-        self.triggered = np.empty(n, bool)
-        self.p_artifact = np.empty(n, np.float64)
+    def __init__(self, rows: np.ndarray):
+        for name in self.__slots__:
+            setattr(self, name, rows[name].copy())
 
     def __len__(self) -> int:
         return self.pred.size
 
-    def __setitem__(self, i: int, o: EvalOutcome) -> None:
-        self.pred[i] = -1 if o.pred is None else o.pred
-        self.confidence[i] = o.confidence
-        self.level[i] = o.level
-        self.used_sr[i] = o.used_sr
-        self.triggered[i] = o.triggered
-        self.p_artifact[i] = np.nan if o.p_artifact is None else o.p_artifact
-
-    def blocks(self) -> Iterator[tuple[int, list[list]]]:
-        """(start, values) for each block of ``ROW_BLOCK`` rows from row
-        `start` on: the block's six columns as Python lists in field order,
-        with None for a -1 `pred` and a NaN `p_artifact`."""
-        for start in range(0, len(self), ROW_BLOCK):
-            pred, *middle, p_artifact = (
-                getattr(self, name)[start : start + ROW_BLOCK].tolist()
-                for name in self.__slots__
-            )
-            yield start, [
-                [None if p < 0 else p for p in pred],
-                *middle,
-                [None if p != p else p for p in p_artifact],
-            ]
-
     def __iter__(self) -> Iterator[EvalOutcome]:
-        for _, values in self.blocks():
-            for pred, conf, level, used_sr, triggered, p_artifact in zip(*values):
-                yield EvalOutcome(pred, conf, SRLevel(level), used_sr, triggered, p_artifact)
+        columns = (getattr(self, name) for name in self.__slots__)
+        for pred, conf, level, used_sr, triggered, p_artifact in row_blocks(*columns):
+            yield EvalOutcome(
+                None if pred < 0 else pred, conf, SRLevel(level), used_sr, triggered,
+                None if p_artifact != p_artifact else p_artifact,
+            )
 
 
 # decide's columns: the SR level, the reason's index in GateReason (-1
@@ -258,13 +242,14 @@ def decide(
 def guarded_outcome(
     r: PredictionRecord,
     level: SRLevel,
-    pred: int | None,
+    pred: int,
     confidence: float,
     p_artifact: float | None,
     config: ExperimentConfig,
-) -> EvalOutcome:
-    """What `r` ends as, gated to `level` and enhanced into `pred` (None: its
-    own vector) at `confidence`, given its artifact probability.
+) -> tuple:
+    """What `r` ends as, as one ``OUTCOME`` row, gated to `level` and
+    enhanced into `pred` (-1: its own vector) at `confidence`, given its
+    artifact probability (None: no score).
 
     A level-NONE record keeps its own vector and confidence, and has no
     score. An enhanced record is reverted when the guard is on and its score
@@ -273,7 +258,7 @@ def guarded_outcome(
     SR output stands.
     """
     if level == SRLevel.NONE:
-        return EvalOutcome(None, r.confidence, level, False, False, None)
+        return -1, r.confidence, level, False, False, np.nan
     triggered = False
     if config.guard_enabled and p_artifact is not None:
         guarded = apply_guard(
@@ -283,17 +268,18 @@ def guarded_outcome(
         triggered = guarded.triggered
         if triggered:
             pred, confidence = r.predicted_class, guarded.final_confidence
-    return EvalOutcome(pred, confidence, level, not triggered, triggered, p_artifact)
+    score = np.nan if p_artifact is None else p_artifact
+    return pred, confidence, level, not triggered, triggered, score
 
 
 def _evaluate_record(
     r: PredictionRecord, index: int, level: SRLevel, config: ExperimentConfig, seed: int
-) -> EvalOutcome:
+) -> tuple:
     effect = config.scenario.sr_effect
     if level == SRLevel.NONE or not (effect.hallucination_enabled or effect.uplift_enabled):
         # no SR, or log-driven mode: score the record as it stands, guarding
         # on any artifact probability the upstream detector recorded
-        return guarded_outcome(r, level, None, r.confidence, r.artifact_score, config)
+        return guarded_outcome(r, level, -1, r.confidence, r.artifact_score, config)
 
     rng = np.random.default_rng([seed, index])
     hallucinated = rng.random() < effect.hallucination_rate(level)
@@ -331,16 +317,17 @@ def evaluate_records(
     """Run the policy pipeline over every record: `decide` picks the levels,
     then each record gets its SR effect and guard.
 
-    Row i of the result is record i's outcome, stored as soon as it is
-    evaluated; each record's stochastic effects draw from a substream keyed
-    by its position alone.
+    Row i of the result is record i's outcome; one ``np.fromiter`` fills
+    every column, as `decide` fills its own. Each record's stochastic effects
+    draw from a substream keyed by its position alone.
     """
     levels = decide(records, policy, config)["level"]
-    outcomes = OutcomeColumns(len(records))
     by_value = tuple(SRLevel)  # indexing costs less per record than SRLevel(value)
-    for i, (r, level) in enumerate(zip(records, levels)):
-        outcomes[i] = _evaluate_record(r, i, by_value[level], config, seed)
-    return outcomes
+    rows = (
+        _evaluate_record(r, i, by_value[level], config, seed)
+        for i, (r, level) in enumerate(zip(records, levels))
+    )
+    return OutcomeColumns(np.fromiter(rows, OUTCOME, count=len(records)))
 
 
 _CRITICAL = np.array([c.critical for c in CLASSES])

@@ -623,6 +623,19 @@ def test_bootstrap_interval_within_resample_extremes():
     assert 0.0 <= lo and hi <= 1.0
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_bootstrap_rejects_a_level_at_either_end(level):
+    recs = random_records(np.random.default_rng(9), 40, n_subjects=4)
+    with pytest.raises(ValueError, match=r"level must lie in \(0,1\)"):
+        bootstrap_ci(recs, "accuracy", n_resamples=8, level=level, seed=2)
+
+
+def test_bootstrap_takes_a_single_resample():
+    recs = random_records(np.random.default_rng(9), 40, n_subjects=4)
+    lo, hi = bootstrap_ci(recs, "accuracy", n_resamples=1, seed=2)
+    assert 0.0 <= lo == hi <= 1.0
+
+
 def test_bootstrap_skips_degenerate_resamples():
     # subject A has positives for class 0, subject B has none: resamples
     # drawing only B are undefined for AUPR and must be replaced

@@ -39,6 +39,11 @@ def test_accumulate_cost_counts_a_level_array_like_a_level_list():
         accumulate_cost(np.array([0, 3]), C)
 
 
+def test_accumulate_cost_names_the_level_range():
+    with pytest.raises(ValueError, match=r"^level values must lie in 0\.\.2$"):
+        accumulate_cost(np.array([0, 3]), C)
+
+
 def test_utility_cost_normalization():
     none, x2, x4 = C.utility_costs()
     assert none == 0.0

@@ -1,11 +1,13 @@
 """`simulate.decide`, the one loop that picks each record's SR level, and the
-identities it makes between subcommands: `guard` is `loso-eval --policy
-gate` without the report, and `gate --adaptive` enhances exactly the
-records that `loso-eval --policy gate_adaptive` enhances."""
+identities between subcommands: `guard` is `loso-eval --policy gate`
+without the report, `gate --adaptive` enhances exactly the records that
+`loso-eval --policy gate_adaptive` enhances, and `loso-eval` on a
+`simulate` run's stream and echo writes that run's outputs."""
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import replace
 
@@ -153,3 +155,19 @@ def test_gate_adaptive_enhances_what_loso_eval_gate_adaptive_enhances(scored_log
     enhanced = [level != "none" for _, level in decided]
     assert enhanced == ["True" in (used_sr, triggered) for _, used_sr, triggered in scored]
     assert 0 < sum(enhanced) < len(enhanced)
+
+
+def test_loso_eval_of_a_simulate_stream_under_its_echo_writes_the_same_outputs(tmp_path):
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--n-per-class", "300", "--subjects", "6", "--seed", "5", "--resamples", "200"]
+    assert run_cli([*argv, "--out", str(sim)]) == 0
+    echo = json.loads((sim / "effective_config.json").read_text(encoding="utf-8"))
+    assert echo["scenario"]["sr_effect"]["hallucination_enabled"]
+    del echo["n_per_class"], echo["subjects"]
+    log = str(sim / "stream.log")
+    config = tmp_path / "echo.json"
+    config.write_text(json.dumps({**echo, "subcommand": "loso-eval", "log": log}), encoding="utf-8")
+    loso = tmp_path / "loso"
+    assert run_cli(["loso-eval", "--log", log, "--config", str(config), "--out", str(loso)]) == 0
+    for name in ("report.json", "guard_outcomes.csv", "reliability.csv"):
+        assert (loso / name).read_bytes() == (sim / name).read_bytes(), name

@@ -363,6 +363,16 @@ def test_optimize_thresholds_empty_and_bad_step():
         optimize_thresholds([make_record()], U, C, grid_step=0.5)
 
 
+def test_optimize_thresholds_takes_grid_steps_up_to_a_quarter_only():
+    recs = random_records(np.random.default_rng(5), 50)
+    with pytest.raises(ValueError, match=r"grid_step must lie in \(0, 0\.25\]"):
+        optimize_thresholds(recs, U, C, grid_step=0.0)
+    result = optimize_thresholds(recs, U, C, grid_step=0.25)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    want = [(lo, hi) for i, lo in enumerate(grid) for hi in grid[i + 1 :]]
+    assert [(p.tau_low, p.tau_high) for p in result.surface] == want
+
+
 # --- sensitivity sweep -------------------------------------------------------------------
 
 def test_sweep_degenerate_range_is_identity():

@@ -28,6 +28,7 @@ from srgate.records import (
     _OPTIONAL_KEYS,
     CLASSES,
     NUM_CLASSES,
+    ROW_BLOCK,
     PredictionRecord,
     SRLevel,
     UtilityParams,
@@ -35,10 +36,11 @@ from srgate.records import (
     ingest_log,
     record_arrays,
     record_to_obj,
+    row_blocks,
     validate_record,
     write_log,
 )
-from srgate.simulate import EvalOutcome, evaluate_records, sample_stream
+from srgate.simulate import DECISION, EvalOutcome, evaluate_records, sample_stream
 
 
 def test_taxonomy_has_seven_classes_with_default_critical_set():
@@ -120,6 +122,27 @@ def test_ingest_invalid_json_names_line(tmp_path):
     with pytest.raises(MalformedRecord) as exc:
         ingest_log(str(path))
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize(
+    "probs, rule",
+    [([0.9] + [0.02] * 5, "expected 7 entries, got 6"), ([1.5, -0.5] + [0.0] * 5, "entries must lie")],
+    ids=["count", "range"],
+)
+def test_a_probs_count_or_range_error_is_malformed_not_a_sum_violation(tmp_path, probs, rule):
+    obj = dict(record_to_obj(make_record()), probs=probs, confidence=max(probs))
+    path = tmp_path / "preds.log"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(MalformedRecord) as exc:
+        ingest_log(str(path))
+    # pytest.raises also accepts the subclass ProbSumViolation
+    assert type(exc.value) is MalformedRecord
+    assert str(exc.value).startswith(f"line 1: probs: {rule}")
+
+
+def test_a_zero_confidence_beside_valid_probs_is_not_their_top_1():
+    r = replace(make_record(confidence=0.9), confidence=0.0)
+    assert list(map(str, validate_record(r))) == ["confidence: confidence != top-1 probability"]
 
 
 def test_validate_one_hot_record_is_ok():
@@ -338,6 +361,35 @@ def test_ingest_keeps_the_sign_of_each_zero(tmp_path):
     [r] = ingest_log(str(path))
     assert [math.copysign(1.0, p) for p in r.probs] == [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0]
     assert r.probs[0] is r.probs[2] is r.confidence
+
+
+def test_row_blocks_gives_the_rows_of_the_whole_columns_a_block_at_a_time():
+    converted = []
+
+    class Recording(np.ndarray):
+        def tolist(self):
+            converted.append(len(self))
+            return super().tolist()
+
+    n = 2 * ROW_BLOCK + 123
+    rng = np.random.default_rng(8)
+    decisions = np.zeros(n, DECISION)
+    decisions["level"] = rng.integers(0, 3, n)
+    decisions["tau_used"] = rng.random(n)
+    columns = (
+        rng.random(n).view(Recording),
+        rng.integers(-5, 5, (n, 3)),
+        decisions,
+        [f"c{i}" for i in range(n)],
+    )
+    want = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    converted.clear()
+    got = list(row_blocks(*columns))
+    assert got == want
+    assert converted == [ROW_BLOCK, ROW_BLOCK, 123]
+    first = got[0]
+    assert (type(first[0]), type(first[1]), type(first[2]), type(first[3])) == (float, list, tuple, str)
+    assert all(type(v) is int for v in first[1])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from srgate.records import (
     write_log,
 )
 from srgate.simulate import (
+    OUTCOME,
     EvalOutcome,
     evaluate_records,
     final_arrays,
@@ -477,7 +479,12 @@ def test_outcome_columns_give_back_every_outcome_as_decided(monkeypatch, scenari
     outcomes = evaluate_records(recs, "gate_adaptive", cfg, seed=3)
     assert len(outcomes) == len(decided) == len(recs)
     rows = list(outcomes)
-    assert rows == decided
+    assert all(type(o) is tuple and len(o) == len(OUTCOME.names) for o in decided)
+    assert rows == [
+        EvalOutcome(None if pred < 0 else pred, conf, level, used_sr, triggered,
+                    None if math.isnan(p_artifact) else p_artifact)
+        for pred, conf, level, used_sr, triggered, p_artifact in decided
+    ]
     assert all(type(o) is EvalOutcome and type(o.level) is SRLevel for o in rows)
     assert any(o.pred is None for o in rows) and any(o.pred is not None for o in rows)
     assert any(o.p_artifact is None for o in rows) and any(o.triggered for o in rows)
