@@ -6,9 +6,18 @@ config key and JSON type, the flag of that name (dashes for underscores)
 and the subcommands that take it. Flags win over file values, file values
 win over defaults; a file key that no subcommand reads, or one given twice,
 is a usage error.
-Every run writes its resolved configuration to ``effective_config.json``
-in the output directory; every subcommand creates that directory only
-once its computation has returned, so a failed run leaves no files.
+
+A subcommand body only computes. It returns its outputs, an ordered map
+from file name to a writer of that path, and the run's echo. ``run_cli``
+alone creates ``--out`` once the body has returned, writes each output in
+order and then the echo as ``effective_config.json``, so a run whose
+computation fails leaves no files. Two cases still leave files behind: a
+rerun into the same ``--out`` keeps what it no longer writes (``calibrate``
+on a log without drowsiness records leaves an earlier ``pr_drowsiness.csv``
+beside a null ``per_class_aupr["6"]``), and a failed write keeps the files
+written before it (with ``effective_config.json`` a directory, ``calibrate``
+exits 4 and leaves its five other files).
+
 ``gate`` and ``guard`` decide every record first (``simulate.decide``,
 ``simulate.evaluate_records``), and ``gate --adaptive`` computes its
 audit; only the formatting of their rows is left to the write. The
@@ -42,21 +51,35 @@ DATA_EXIT = 3
 IO_EXIT = 4
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    """Write rows as they come, so a generator is never held whole.
+def _csv(header: list[str], rows: Iterable[Sequence]):
+    """A writer of a CSV file of `header` and `rows`, written as they come,
+    so a generator is never held whole.
 
     csv.writer formats each value itself: None as an empty field, a float by
     its repr (which reproduces it exactly), anything else by str.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+
+    def write(path: str) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    return write
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+def _json(obj):
+    """A writer of `obj` as indented JSON with sorted keys."""
+
+    def write(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+    return write
+
+
+def _reliability(bins):
+    return _csv(["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"], map(astuple, bins))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -259,24 +282,6 @@ def _effective(run: dict, config: cfgmod.ExperimentConfig) -> dict:
     return {**run, **cfgmod.experiment_to_dict(config)}
 
 
-def _outdir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _echo_config(out: str, effective: dict) -> None:
-    _write_json(os.path.join(out, "effective_config.json"), effective)
-
-
-def _write_reliability(out: str, bins) -> None:
-    _write_csv(
-        os.path.join(out, "reliability.csv"),
-        ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
-        map(astuple, bins),
-    )
-
-
 # --- subcommand bodies ------------------------------------------------------------
 
 # a decision column's codes as written: SR levels by value, gate reasons by
@@ -293,7 +298,7 @@ def _naming(files: str, fn, *images) -> float:
         raise type(exc)(f"{files}: {exc}") from None
 
 
-def _cmd_quality(args) -> int:
+def _cmd_quality(args):
     """Reads the frames as a stream: only the reference and the previous
     frame stay loaded, so memory does not grow with the number of frames."""
     if args.clip:
@@ -321,25 +326,19 @@ def _cmd_quality(args) -> int:
         if args.clip and prev is not None:
             pair_ssims.append(_naming(f"--clip: {prev_path} vs {path}", quality.ssim, prev, img))
         prev_path, prev = path, img
-    temporal = quality.inconsistency(pair_ssims) if args.clip else None
-    out = _outdir(args)
-    _write_csv(os.path.join(out, "quality.csv"), header, rows)
+    outputs = {"quality.csv": _csv(header, rows)}
     if args.clip:
-        _write_csv(
-            os.path.join(out, "temporal.csv"),
+        outputs["temporal.csv"] = _csv(
             ["n_frames", "temporal_inconsistency"],
-            [[len(args.images), temporal]],
+            [[len(args.images), quality.inconsistency(pair_ssims)]],
         )
-    _echo_config(
-        out,
-        {
-            "subcommand": "quality",
-            "images": list(args.images),
-            "ssim_ref": args.ssim_ref,
-            "clip": bool(args.clip),
-        },
-    )
-    return 0
+    echo = {
+        "subcommand": "quality",
+        "images": list(args.images),
+        "ssim_ref": args.ssim_ref,
+        "clip": bool(args.clip),
+    }
+    return outputs, echo
 
 
 def _decision_rows(recs, decisions, audit):
@@ -350,16 +349,14 @@ def _decision_rows(recs, decisions, audit):
         yield (r.clip_id, r.subject_id, r.confidence, r.criticality, *decision, *utilities)
 
 
-def _cmd_gate(args) -> int:
+def _cmd_gate(args):
     config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
     decisions = simulate.decide(recs, "gate_adaptive" if run["adaptive_gate"] else "gate", config)
     audit = np.zeros((len(recs), 3))  # the fixed gate writes no audit
     if run["adaptive_gate"]:
         audit = gating.utility_matrix(recs, config.utility, config.costs, "heuristic")
-    out = _outdir(args)
-    _write_csv(
-        os.path.join(out, "decisions.csv"),
+    table = _csv(
         [
             "clip_id",
             "subject_id",
@@ -374,43 +371,41 @@ def _cmd_gate(args) -> int:
         ],
         _decision_rows(recs, decisions, audit),
     )
-    _echo_config(out, _effective(run, config))
-    return 0
+    return {"decisions.csv": table}, _effective(run, config)
 
 
-def _cmd_calibrate(args) -> int:
+def _pr_rows(a: records.RecordArrays, k: int):
+    """The full PR curve of class `k`, computed only once its file is
+    written, so one curve at a time is held."""
+    yield from records.row_blocks(*cal.pr_curve_arrays(a.probs[:, k], a.true_class == k))
+
+
+def _cmd_calibrate(args):
     config, run = _configure(args)
     seed = run["seed"]
     if config.resamples > 0 and seed is None:
         raise ValueError("--seed is required when bootstrap resamples > 0")
     a = records.record_arrays(records.ingest_log(args.log, strict=args.strict))
     report = simulate.pooled_calibration(a, config, 0 if seed is None else seed)
-    out = _outdir(args)
     effective = _effective(run, config)
+    outputs = {}
     if args.format in ("report", "both"):
-        _write_json(
-            os.path.join(out, "calibration_report.json"),
+        outputs["calibration_report.json"] = _json(
             {
                 "schema_version": simulate.SCHEMA_VERSION,
                 "calibration": schema.encode(report),
                 "config": effective,
-            },
+            }
         )
     if args.format in ("csv", "both"):
-        _write_reliability(out, report.bins)
-        # full PR curves for the critical classes, one file each
+        outputs["reliability.csv"] = _reliability(report.bins)
+        # full PR curves for the critical classes present, one file each
         for k in sorted(records.CRITICAL_IDS):
-            labels = a.true_class == k
-            if not labels.any():
-                continue
-            thresholds, precision, recall = cal.pr_curve_arrays(a.probs[:, k], labels)
-            _write_csv(
-                os.path.join(out, f"pr_{records.CLASSES[k].name}.csv"),
-                ["threshold", "precision", "recall"],
-                records.row_blocks(thresholds, precision, recall),
-            )
-    _echo_config(out, effective)
-    return 0
+            if (a.true_class == k).any():
+                outputs[f"pr_{records.CLASSES[k].name}.csv"] = _csv(
+                    ["threshold", "precision", "recall"], _pr_rows(a, k)
+                )
+    return outputs, effective
 
 
 def _guard_rows(recs, outcomes: simulate.OutcomeColumns):
@@ -424,25 +419,22 @@ def _guard_rows(recs, outcomes: simulate.OutcomeColumns):
         yield (r.clip_id, r.artifact_score, _LEVEL_LABELS[level], fired, sr, conf, label)
 
 
-def _cmd_guard(args) -> int:
+def _cmd_guard(args):
     config, run = _configure(args)
     recs = records.ingest_log(args.log, strict=args.strict)
     # the fixed gate, then the guard on the logged scores, as loso-eval
     # scores a log; the echo keeps the config as given
     outcomes = simulate.evaluate_records(recs, "gate", simulate.log_driven(config), 0)
-    out = _outdir(args)
-    _write_csv(
-        os.path.join(out, "guard.csv"),
+    table = _csv(
         ["clip_id", "p_artifact", "level", "triggered", "used_sr", "final_confidence", "artifact_label"],
         _guard_rows(recs, outcomes),
     )
-    _echo_config(out, _effective(run, config))
-    return 0
+    return {"guard.csv": table}, _effective(run, config)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     config, run = _configure(args)
-    # before the ingest and the output directory, so a bad setting costs neither
+    # before the ingest, so a bad setting costs no read of the log
     gating.check_sweep_settings(run["rel_range"], run["steps"], run["objective"])
     recs = records.ingest_log(args.log, strict=args.strict)
     rows = gating.sensitivity_sweep(
@@ -454,14 +446,8 @@ def _cmd_sweep(args) -> int:
         steps=run["steps"],
         objective=run["objective"],
     )
-    out = _outdir(args)
-    _write_csv(
-        os.path.join(out, "sweep.csv"),
-        [f.name for f in fields(gating.SweepRow)],
-        map(astuple, rows),
-    )
-    _echo_config(out, _effective(run, config))
-    return 0
+    table = _csv([f.name for f in fields(gating.SweepRow)], map(astuple, rows))
+    return {"sweep.csv": table}, _effective(run, config)
 
 
 def _csv_rows(fh):
@@ -508,14 +494,14 @@ def _read_points(path: str) -> list[costmod.MethodPoint]:
     return points
 
 
-def _cmd_pareto(args) -> int:
+def _cmd_pareto(args):
     points = _read_points(args.points)
     by_name = {p.name: p for p in points}
-    baseline_name = args.baseline or points[0].name
+    baseline_name = points[0].name if args.baseline is None else args.baseline
     if baseline_name not in by_name:
         raise err.EmptyInput(f"baseline {baseline_name!r} not among points")
     baseline = by_name[baseline_name]
-    if args.ref:
+    if args.ref is not None:
         if args.ref not in by_name:
             raise err.EmptyInput(f"ref {args.ref!r} not among points")
         ref = by_name[args.ref]
@@ -533,22 +519,14 @@ def _cmd_pareto(args) -> int:
         else:
             rel = costmod.relative_efficiency(p, baseline, ref)
         rows.append([*astuple(p), id(p) in frontier, rel])
-    out = _outdir(args)
-    _write_csv(
-        os.path.join(out, "pareto.csv"),
-        ["name", "accuracy", "cost", "fps", "power", "on_frontier", "rel_efficiency"],
-        rows,
-    )
-    _echo_config(
-        out,
-        {
-            "subcommand": "pareto",
-            "points": args.points,
-            "baseline": baseline.name,
-            "ref": ref.name if ref is not None else None,
-        },
-    )
-    return 0
+    table = _csv(["name", "accuracy", "cost", "fps", "power", "on_frontier", "rel_efficiency"], rows)
+    echo = {
+        "subcommand": "pareto",
+        "points": args.points,
+        "baseline": baseline.name,
+        "ref": ref.name if ref is not None else None,
+    }
+    return {"pareto.csv": table}, echo
 
 
 def _guard_outcome_rows(recs, outcomes: simulate.OutcomeColumns):
@@ -559,42 +537,30 @@ def _guard_outcome_rows(recs, outcomes: simulate.OutcomeColumns):
         yield r.clip_id, None if p_artifact != p_artifact else p_artifact, fired, sr, conf
 
 
-def _write_experiment_outputs(out: str, report, recs, outcomes, effective, fmt: str) -> None:
-    if fmt in ("report", "both"):
-        simulate.write_report(report, os.path.join(out, "report.json"))
-    if fmt in ("csv", "both"):
-        _write_reliability(out, report.calibration.bins)
-        _write_csv(
-            os.path.join(out, "guard_outcomes.csv"),
+def _cmd_experiment(args):
+    """simulate and loso-eval: one policy experiment, on a sampled stream
+    (written as stream.log) or on an ingested log."""
+    config, run = _configure(args)
+    seed = run["seed"]
+    if seed is None:
+        raise ValueError(f"--seed is required for {args.subcommand}")
+    outputs = {}
+    if args.subcommand == "simulate":
+        recs = simulate.sample_stream(config.scenario.model, run["n_per_class"], run["subjects"], seed)
+        # looked up when written, so a wrapper installed on the module sees the call
+        outputs["stream.log"] = lambda path: records.write_log(recs, path)
+    else:
+        recs = records.ingest_log(args.log, strict=args.strict)
+    report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
+    if args.format in ("report", "both"):
+        outputs["report.json"] = lambda path: simulate.write_report(report, path)
+    if args.format in ("csv", "both"):
+        outputs["reliability.csv"] = _reliability(report.calibration.bins)
+        outputs["guard_outcomes.csv"] = _csv(
             ["clip_id", "p_artifact", "triggered", "used_sr", "final_confidence"],
             _guard_outcome_rows(recs, outcomes),
         )
-    _echo_config(out, effective)
-
-
-def _cmd_simulate(args) -> int:
-    config, run = _configure(args)
-    seed = run["seed"]
-    if seed is None:
-        raise ValueError("--seed is required for simulate")
-    recs = simulate.sample_stream(config.scenario.model, run["n_per_class"], run["subjects"], seed)
-    report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
-    out = _outdir(args)
-    records.write_log(recs, os.path.join(out, "stream.log"))
-    _write_experiment_outputs(out, report, recs, outcomes, _effective(run, config), args.format)
-    return 0
-
-
-def _cmd_loso_eval(args) -> int:
-    config, run = _configure(args)
-    seed = run["seed"]
-    if seed is None:
-        raise ValueError("--seed is required for loso-eval")
-    recs = records.ingest_log(args.log, strict=args.strict)
-    report, outcomes = simulate.run_experiment_with_outcomes(recs, run["policy"], config, seed)
-    out = _outdir(args)
-    _write_experiment_outputs(out, report, recs, outcomes, _effective(run, config), args.format)
-    return 0
+    return outputs, _effective(run, config)
 
 
 # --- parser ---------------------------------------------------------------------------
@@ -606,8 +572,8 @@ _COMMANDS = {
     "guard": ("artifact-guard outcomes per record", _cmd_guard),
     "sweep": ("threshold sensitivity sweep", _cmd_sweep),
     "pareto": ("frontier and relative efficiency table", _cmd_pareto),
-    "simulate": ("synthetic stream + policy experiment", _cmd_simulate),
-    "loso-eval": ("policy experiment over an ingested log", _cmd_loso_eval),
+    "simulate": ("synthetic stream + policy experiment", _cmd_experiment),
+    "loso-eval": ("policy experiment over an ingested log", _cmd_experiment),
 }
 
 
@@ -677,7 +643,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.fn(args)
+        outputs, echo = args.fn(args)
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        for name, write in {**outputs, "effective_config.json": _json(echo)}.items():
+            write(os.path.join(out, name))
+        return 0
     except ValueError as exc:
         print(f"srgate: invalid option value: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -88,13 +88,17 @@ class CostSummary:
 def accumulate_cost(levels: Iterable[SRLevel] | np.ndarray, profile: CostProfile) -> CostSummary:
     """Sum the per-record cost of each chosen level (base + increment).
 
-    `levels` may also be an integer array of level values.
+    `levels` may also be a 1-D integer (not bool) array of level values.
     """
     if not isinstance(levels, np.ndarray):
         levels = np.fromiter((int(SRLevel(level)) for level in levels), dtype=np.int64)
-    counts = np.bincount(levels, minlength=len(SRLevel)).tolist()
-    if len(counts) != len(SRLevel):
+    if (
+        levels.ndim != 1
+        or levels.dtype.kind not in "iu"
+        or (levels.size and not 0 <= levels.min() <= levels.max() < len(SRLevel))
+    ):
         raise ValueError(f"level values must lie in 0..{len(SRLevel) - 1}")
+    counts = np.bincount(levels, minlength=len(SRLevel)).tolist()
     n = sum(counts)
     if n == 0:
         raise EmptyInput("no decisions to accumulate")

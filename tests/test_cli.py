@@ -921,24 +921,40 @@ def test_loso_eval_rerun_byte_identical(stream_log, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_format_flag_selects_emission(stream_log, tmp_path):
-    csv_out = tmp_path / "csvonly"
-    code = run_cli(
-        ["loso-eval", "--log", stream_log, "--seed", "4", "--resamples", "0",
-         "--format", "csv", "--out", str(csv_out)]
-    )
-    assert code == 0
-    assert (csv_out / "reliability.csv").exists()
-    assert not (csv_out / "report.json").exists()
+_FORMAT_FILES = {
+    "simulate": {
+        "csv": {"guard_outcomes.csv", "reliability.csv", "stream.log"},
+        "report": {"report.json", "stream.log"},
+        "both": {"guard_outcomes.csv", "reliability.csv", "report.json", "stream.log"},
+    },
+    "loso-eval": {
+        "csv": {"guard_outcomes.csv", "reliability.csv"},
+        "report": {"report.json"},
+        "both": {"guard_outcomes.csv", "reliability.csv", "report.json"},
+    },
+    "calibrate": {
+        "csv": {"pr_phone_call.csv", "pr_texting.csv", "reliability.csv"},
+        "report": {"calibration_report.json"},
+        "both": {"calibration_report.json", "pr_phone_call.csv", "pr_texting.csv", "reliability.csv"},
+    },
+}
 
-    rep_out = tmp_path / "reportonly"
-    code = run_cli(
-        ["loso-eval", "--log", stream_log, "--seed", "4", "--resamples", "0",
-         "--format", "report", "--out", str(rep_out)]
-    )
-    assert code == 0
-    assert (rep_out / "report.json").exists()
-    assert not (rep_out / "reliability.csv").exists()
+
+def test_format_flag_selects_emission(no_drowsiness_log, tmp_path):
+    """Each subcommand with --format writes exactly its set for each format
+    and the echo; the log holds no drowsiness record, so calibrate writes no
+    pr_drowsiness.csv."""
+    for subcommand, sets in _FORMAT_FILES.items():
+        for fmt, files in sets.items():
+            out = tmp_path / f"{subcommand}-{fmt}"
+            argv = [subcommand, "--seed", "4", "--resamples", "0", "--format", fmt, "--out", str(out)]
+            if subcommand == "simulate":
+                argv += ["--n-per-class", "10", "--subjects", "2"]
+            else:
+                argv += ["--log", no_drowsiness_log]
+            assert run_cli(argv) == 0
+            got = sorted(p.name for p in out.iterdir())
+            assert (subcommand, fmt, got) == (subcommand, fmt, sorted({"effective_config.json", *files}))
 
 
 def test_flag_overrides_config_file(stream_log, tmp_path):
@@ -1356,6 +1372,32 @@ def test_pareto_with_an_unknown_baseline_creates_no_output_directory(tmp_path, c
     assert run_cli(["pareto", "--points", str(points), "--baseline", "zz", "--out", str(out)]) == 3
     assert "baseline 'zz' not among points" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pareto_empty_baseline_or_ref_names_a_method_not_the_default(tmp_path, capsys):
+    points = tmp_path / "methods.csv"
+    points.write_text(
+        "name,accuracy,cost,fps,power\n"
+        "bicubic,0.287,1.2,52.4,5.0\n"
+        ",0.301,6.4,31.0,9.1\n"
+        "sr4x,0.331,18.7,12.5,14.2\n"
+    )
+    out = tmp_path / "named"
+    argv = ["pareto", "--points", str(points), "--baseline", "", "--ref", "sr4x", "--out", str(out)]
+    assert run_cli(argv) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert (echo["baseline"], echo["ref"]) == ("", "sr4x")
+    assert run_cli(["pareto", "--points", str(points), "--ref", "", "--out", str(out)]) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert (echo["baseline"], echo["ref"]) == ("bicubic", "")
+
+    points.write_text("name,accuracy,cost,fps,power\nbicubic,0.287,1.2,52.4,5.0\n")
+    for flag, message in (("--baseline", "baseline '' not among points"),
+                          ("--ref", "ref '' not among points")):
+        missing = tmp_path / flag[2:]
+        assert run_cli(["pareto", "--points", str(points), flag, "", "--out", str(missing)]) == 3
+        assert message in capsys.readouterr().err
+        assert not missing.exists()
 
 
 @pytest.fixture

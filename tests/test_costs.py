@@ -40,8 +40,17 @@ def test_accumulate_cost_counts_a_level_array_like_a_level_list():
 
 
 def test_accumulate_cost_names_the_level_range():
-    with pytest.raises(ValueError, match=r"^level values must lie in 0\.\.2$"):
-        accumulate_cost(np.array([0, 3]), C)
+    # above the top, negative, float, 2-D, bool, and a uint64 past the top
+    for levels in (
+        np.array([0, 3]),
+        np.array([-1]),
+        np.array([0.5]),
+        np.array([[0, 1]]),
+        np.array([True, False]),
+        np.array([0, 2**63], dtype=np.uint64),
+    ):
+        with pytest.raises(ValueError, match=r"^level values must lie in 0\.\.2$"):
+            accumulate_cost(levels, C)
 
 
 def test_utility_cost_normalization():
